@@ -148,7 +148,6 @@ void StreamEngineIngestServeBody(benchmark::State& state,
     }
   }
   core::CerlConfig config = QueryBenchConfig(0);
-  config.train.async_validation = true;
 
   stream::StreamEngineOptions options;
   options.publish_snapshots = publish_snapshots;
@@ -201,7 +200,6 @@ void BM_EffectQueryMixed(benchmark::State& state) {
     }
   }
   core::CerlConfig config = QueryBenchConfig(0);
-  config.train.async_validation = false;
 
   Rng qrng(161);
   linalg::Matrix qx(16, kFeatures);

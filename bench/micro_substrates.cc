@@ -18,7 +18,6 @@
 #include "linalg/simd.h"
 #include "nn/mlp.h"
 #include "nn/optim.h"
-#include "ot/fused_micro_solver.h"
 #include "ot/ipm.h"
 #include "ot/sinkhorn.h"
 #include "stats/mvn.h"
@@ -189,59 +188,6 @@ void BM_VecExp(benchmark::State& state) {
   state.SetLabel(linalg::simd::Kernels().name);
 }
 BENCHMARK(BM_VecExp)->Arg(256)->Arg(4096)->Arg(65536);
-
-// N micro Sinkhorn solves (well below min_parallel_elements), the
-// per-stream Wasserstein-penalty workload at high stream counts.
-// Arg(1) = 1: stacked through the fused micro-solver (groups of 4 lanes,
-// one batched VecExp / lane4_dot sweep). Arg(1) = 0: sequential solo
-// solves. Warm starts are dropped every iteration so both sides run full
-// cold solves; results are bit-identical by the fused solver's contract.
-void BM_FusedMicroSolve(benchmark::State& state) {
-  const int count = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) != 0;
-  Rng rng(15);
-  std::vector<linalg::Matrix> costs;
-  for (int i = 0; i < count; ++i) {
-    // Uniform(0, 1) costs keep every solve well-conditioned, isolating the
-    // fused-sweep speedup: a degenerate problem ejects to the identical
-    // solo cascade and costs the same on both sides, only adding noise.
-    linalg::Matrix cost(12, 8);
-    for (int64_t e = 0; e < cost.size(); ++e) {
-      cost.data()[e] = rng.Uniform(0.0, 1.0);
-    }
-    costs.push_back(std::move(cost));
-  }
-  ot::SinkhornConfig config;
-  std::vector<ot::SinkhornWorkspace> ws(count);
-  std::vector<const linalg::Matrix*> cost_ptrs;
-  std::vector<ot::SinkhornConfig> configs(count, config);
-  std::vector<ot::SinkhornWorkspace*> ws_ptrs;
-  for (int i = 0; i < count; ++i) {
-    cost_ptrs.push_back(&costs[i]);
-    ws_ptrs.push_back(&ws[i]);
-  }
-  for (auto _ : state) {
-    for (auto& w : ws) w.DropWarmStart();
-    if (fused) {
-      auto results = ot::SolveSinkhornMicroBatch(cost_ptrs, configs, ws_ptrs);
-      benchmark::DoNotOptimize(results.data());
-    } else {
-      for (int i = 0; i < count; ++i) {
-        auto info = ot::SolveSinkhorn(costs[i], config, &ws[i]);
-        benchmark::DoNotOptimize(info);
-      }
-    }
-  }
-  state.SetLabel(fused ? "fused" : "sequential");
-  state.SetItemsProcessed(state.iterations() * count);
-}
-BENCHMARK(BM_FusedMicroSolve)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({32, 0})
-    ->Args({32, 1});
 
 // Cold-start Sinkhorn solves. Arg(1): the workspace solver (arena buffers,
 // parallel kernels, vectorized exp; warm start disabled so every solve runs
@@ -435,7 +381,6 @@ void StreamEngineIngestBody(benchmark::State& state, bool health_guards) {
   }
 
   core::CerlConfig config = BenchCerlConfig(0);
-  config.train.async_validation = true;
   config.memory_capacity = 80;
 
   stream::StreamEngineOptions options;

@@ -35,7 +35,6 @@ core::CerlConfig TenantConfig(uint64_t seed) {
   config.train.batch_size = 64;
   config.train.patience = 20;
   config.train.seed = seed;
-  config.train.async_validation = true;
   config.memory_capacity = 150;
   return config;
 }
@@ -51,7 +50,8 @@ int main() {
     int id = 0;
     std::vector<data::DataSplit> domains;
   };
-  std::vector<Tenant> tenants = {{"tenant-a", 500, 11}, {"tenant-b", 350, 23}};
+  std::vector<Tenant> tenants = {{"tenant-a", 500, 11, 0, {}},
+                                 {"tenant-b", 350, 23, 0, {}}};
 
   data::SyntheticConfig dgp;
   dgp.num_domains = 3;

@@ -49,7 +49,6 @@ core::CerlConfig SmallConfig(uint64_t seed) {
   config.train.batch_size = 64;
   config.train.patience = 25;
   config.train.seed = seed;
-  config.train.async_validation = true;  // overlap scoring with next epoch
   config.memory_capacity = 150;
   return config;
 }

@@ -1,7 +1,6 @@
 #include "causal/cfr.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "autodiff/composite.h"
 #include "autodiff/ops.h"
@@ -87,19 +86,6 @@ uint64_t TreatedSplitShapeKey(const std::vector<int>& t,
   return (static_cast<uint64_t>(idx.size()) << 32) | treated;
 }
 
-std::unique_ptr<RepOutcomeNet> MakeValidationClone(const NetConfig& config,
-                                                   RepOutcomeNet& net,
-                                                   uint64_t seed) {
-  // The clone's init values are irrelevant (every score restores a
-  // snapshot first); the derived seed only keeps construction
-  // deterministic.
-  Rng clone_rng(seed ^ 0xA51DC0DE);
-  auto clone =
-      std::make_unique<RepOutcomeNet>(&clone_rng, config, net.input_dim());
-  clone->CopyParametersFrom(net);  // copies scalers too
-  return clone;
-}
-
 train::LoopOptions MakeLoopOptions(const TrainConfig& config,
                                    const std::string& log_label) {
   train::LoopOptions options;
@@ -157,8 +143,8 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
 
   // Eq. 5 per-batch objective: factual MSE + alpha * IPM + lambda *
   // elastic net. The loop mechanics live in train::TrainLoop, which also
-  // assembles (and prefetches) the covariate rows; the loss only gathers
-  // the per-unit treatment/outcome scalars into step-reused buffers. The
+  // assembles the covariate rows; the loss only gathers the per-unit
+  // treatment/outcome scalars into step-reused buffers. The
   // factual-split scratch and the Sinkhorn workspaces live here, next to
   // the loop's persistent tapes, so steady-state steps allocate nothing in
   // the loss builder; the workspaces are pooled by the (n_treated,
@@ -200,18 +186,6 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
   loop.SetBatchShapeKey([&train](train::IndexSpan idx) {
     return TreatedSplitShapeKey(train.t, idx);
   });
-  // Async validation scores parameter snapshots against a dedicated clone
-  // so the live net can keep training while the criterion is computed.
-  std::unique_ptr<RepOutcomeNet> valid_net;
-  if (train_config_.async_validation) {
-    valid_net = MakeValidationClone(net_config_, net_, train_config_.seed);
-    loop.EnableAsyncValidation(
-        [this, vn = valid_net.get(), &x_valid, &valid,
-         &y_valid](const std::vector<linalg::Matrix>& snapshot) {
-          train::RestoreValues(vn->Parameters(), snapshot);
-          return ValidFactualLoss(vn, x_valid, valid.t, y_valid);
-        });
-  }
   return loop.Run(train.num_units(), {&x_train}, batch_loss, valid_loss);
 }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "causal/metrics.h"
@@ -31,13 +30,6 @@ struct TrainConfig {
   ot::SinkhornConfig sinkhorn;
   uint64_t seed = 1234;
   bool verbose = false;
-  /// Score the early-stopping validation criterion asynchronously: the loop
-  /// snapshots the parameters after each epoch's last batch and a dedicated
-  /// worker scores the snapshot (against a validation clone of the model)
-  /// while the next epoch trains. Restored best parameters are bit-identical
-  /// to the synchronous path; the early-stop decision lands at most one
-  /// epoch late (see train::TrainLoop::EnableAsyncValidation).
-  bool async_validation = false;
 };
 
 /// Summary of one training run (lives with the engine in src/train/).
@@ -79,7 +71,7 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
 
 /// Gathers elements `idx` of (t, y) into caller-owned buffers (resized as
 /// needed, reused across steps). This is the scalar half of batch assembly;
-/// covariate-row gathers are owned — and prefetched — by train::TrainLoop
+/// covariate-row gathers are owned by train::TrainLoop
 /// via its gather-source machinery.
 void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
                         train::IndexSpan idx, std::vector<int>* t_out,
@@ -91,14 +83,6 @@ void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
 /// Shared by CfrModel and the CERL continual stage.
 uint64_t TreatedSplitShapeKey(const std::vector<int>& t,
                               train::IndexSpan idx);
-
-/// Same-architecture clone of `net` (weights and scalers copied) for
-/// asynchronous validation: parameter snapshots are RestoreValues'd into
-/// the clone and scored on a worker while the live net keeps training.
-/// Shared by CfrModel and the CERL continual stage.
-std::unique_ptr<RepOutcomeNet> MakeValidationClone(const NetConfig& config,
-                                                   RepOutcomeNet& net,
-                                                   uint64_t seed);
 
 /// CFR model: RepOutcomeNet + Eq. 5 training.
 class CfrModel {

@@ -108,7 +108,7 @@ Status CerlTrainer::ValidateDomain(const data::DataSplit& split,
                                    int input_dim) {
   // BeginStage runs CheckConsistent on the training split (which requires
   // aligned ground truth); mirror that here so a bad domain is rejected by
-  // pre-flight validation instead of aborting mid-pipeline.
+  // validation instead of aborting mid-pipeline.
   CERL_RETURN_IF_ERROR(CheckDataset(split.train, input_dim, "train",
                                     /*require_ground_truth=*/true));
   CERL_RETURN_IF_ERROR(CheckDataset(split.valid, input_dim, "valid",
@@ -219,24 +219,13 @@ std::unique_ptr<CerlTrainer::StageContext> CerlTrainer::BeginStage(
   ctx->mem_batch =
       ctx->use_memory ? std::min(stage_train.batch_size, memory_.size()) : 0;
   ctx->loop_rng = Rng(stage_train.seed ^ 0xB007);
-
-  if (stage_train.async_validation) {
-    // Clones for off-thread validation scoring: snapshots are restored into
-    // these while the live net/phi keep training. Architecture (and copied
-    // scalers) match the live models; values are overwritten per score.
-    ctx->valid_net =
-        causal::MakeValidationClone(config_.net, net, stage_train.seed);
-    Rng phi_clone_rng(stage_train.seed ^ 0xF1C10);
-    ctx->valid_phi = std::make_unique<TransformNet>(
-        &phi_clone_rng, net.rep_dim(), config_.transform_hidden);
-  }
   return ctx;
 }
 
-double CerlTrainer::StageValidLoss(causal::RepOutcomeNet* net,
-                                   TransformNet* phi,
-                                   const StageContext& ctx) {
+double CerlTrainer::StageValidLoss(const StageContext& ctx) {
   using namespace autodiff;  // NOLINT
+  causal::RepOutcomeNet* net = &model_->net();
+  TransformNet* phi = ctx.phi.get();
   // Retention-aware early stopping: new-domain factual loss plus the
   // replay loss over the whole memory bank. The distillation term must NOT
   // enter the selection criterion: it is exactly zero at the warm-started
@@ -302,16 +291,14 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   const int mem_batch = ctx->mem_batch;
   Rng& loop_rng = ctx->loop_rng;
 
-  auto valid_loss_fn = [this, ctx, &net, &phi]() {
-    return StageValidLoss(&net, &phi, *ctx);
-  };
+  auto valid_loss_fn = [this, ctx]() { return StageValidLoss(*ctx); };
   // Eq. 9 per-batch objective; the epoch/minibatch/early-stopping mechanics
-  // live in train::TrainLoop, which assembles (and prefetches) the row
-  // gathers of x_train and old_reps_train. Scalar/memory gathers and the
-  // factual/memory split land in step-reused scratch, and the Sinkhorn
-  // workspaces (owned here, next to the loop's persistent tapes, pooled by
-  // the global treated/control split) warm-start the balancing duals from
-  // the previous step with the same split.
+  // live in train::TrainLoop, which assembles the row gathers of x_train
+  // and old_reps_train. Scalar/memory gathers and the factual/memory split
+  // land in step-reused scratch, and the Sinkhorn workspaces (owned here,
+  // next to the loop's persistent tapes, pooled by the global
+  // treated/control split) warm-start the balancing duals from the
+  // previous step with the same split.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   linalg::Matrix mem_rep_gathered;
@@ -445,22 +432,6 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   loop.SetBatchShapeKey([&train](train::IndexSpan idx) {
     return causal::TreatedSplitShapeKey(train.t, idx);
   });
-  if (stage_train.async_validation) {
-    std::vector<autodiff::Parameter*> valid_params =
-        ctx->valid_net->Parameters();
-    if (config_.use_transform || config_.delta > 0.0) {
-      for (autodiff::Parameter* p : ctx->valid_phi->Parameters()) {
-        valid_params.push_back(p);
-      }
-    }
-    loop.EnableAsyncValidation(
-        [this, ctx, valid_params](
-            const std::vector<linalg::Matrix>& snapshot) {
-          train::RestoreValues(valid_params, snapshot);
-          return StageValidLoss(ctx->valid_net.get(), ctx->valid_phi.get(),
-                                *ctx);
-        });
-  }
   return loop.Run(train.num_units(), {&ctx->x_train, &ctx->old_reps_train},
                   batch_loss, valid_loss_fn);
 }

@@ -74,17 +74,16 @@ class CerlTrainer {
 
   // --- Stage pipeline (Algorithm 1, stream-engine schedulable) ----------
 
-  /// Pure pre-flight validation of an incoming domain: shape consistency
+  /// Pure validation of an incoming domain: shape consistency
   /// against `input_dim`, aligned unit counts, finite covariates/outcomes.
-  /// Touches no trainer state, so the stream engine scores it on the shared
-  /// pool while earlier stages are still training.
+  /// Touches no trainer state; the stream engine runs it at the start of
+  /// each domain's ingest stage.
   static Status ValidateDomain(const data::DataSplit& split, int input_dim);
 
   /// Cross-stage context: every piece of per-stage state (standardized
   /// inputs, distillation targets, phi, the joint parameter set, the stage
-  /// RNG, validation clones) lives here explicitly — the trainer itself
-  /// keeps only the durable continual state (current/old model, memory,
-  /// stage counter).
+  /// RNG) lives here explicitly — the trainer itself keeps only the durable
+  /// continual state (current/old model, memory, stage counter).
   struct StageContext;
 
   /// Ingest/standardize: advances the stage counter, builds (and
@@ -94,8 +93,7 @@ class CerlTrainer {
   std::unique_ptr<StageContext> BeginStage(const data::DataSplit& split);
 
   /// Train + validate: optimizes the stage objective with the shared
-  /// engine loop (asynchronous validation when
-  /// config.train.async_validation).
+  /// engine loop.
   causal::TrainStats TrainStage(StageContext* ctx);
 
   /// Herd/migrate: M_d = Herding({R_d, Y_d, T_d} ∪ phi(M_{d-1})).
@@ -156,8 +154,7 @@ class CerlTrainer {
  private:
   causal::TrainStats TrainContinualStage(StageContext* ctx);
   void SeedMemoryFromCurrent(const data::CausalDataset& train);
-  double StageValidLoss(causal::RepOutcomeNet* net, TransformNet* phi,
-                        const StageContext& ctx);
+  double StageValidLoss(const StageContext& ctx);
 
   CerlConfig config_;
   int input_dim_;
@@ -191,11 +188,6 @@ struct CerlTrainer::StageContext {
   Rng loop_rng{0};  ///< shuffles + memory-replay sampling for this stage
   bool use_memory = false;
   int mem_batch = 0;
-
-  // Async-validation clones: parameter snapshots are written into these and
-  // scored off-thread while the live net/phi keep training.
-  std::unique_ptr<causal::RepOutcomeNet> valid_net;
-  std::unique_ptr<TransformNet> valid_phi;
 
   causal::TrainStats stats;  ///< filled by TrainStage
 };

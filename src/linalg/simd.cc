@@ -1,10 +1,10 @@
 // Scalar kernel table and one-time dispatch resolution. The scalar bodies
 // are the former inline loops of ops.cc / gemm.cc / optim.cc moved here
 // verbatim: they define the reference arithmetic (order and operation
-// shape) that the AVX2 table either matches bitwise (vec_exp tail handling,
-// lane4_dot) or tracks within documented FMA rounding (row_dot, gemm,
-// adam). This file stays at the SSE2 baseline so the compiler cannot
-// contract multiply-adds — the scalar table is FMA-free by construction.
+// shape) that the AVX2 table either matches bitwise (vec_exp tail handling)
+// or tracks within documented FMA rounding (row_dot, gemm, adam). This file
+// stays at the SSE2 baseline so the compiler cannot contract multiply-adds
+// — the scalar table is FMA-free by construction.
 #include "linalg/simd.h"
 
 #include <atomic>
@@ -153,94 +153,6 @@ void AdamUpdateScalar(double* value, const double* grad, double* m, double* v,
   }
 }
 
-void Lane4DotScalar(const double* k4, const double* v4, int n, double* out) {
-  // Per lane, this is RowDotScalar on the strided lane data: same
-  // accumulator mapping (j % 4), same tail-into-s0, same combine.
-  for (int p = 0; p < 4; ++p) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      s0 += k4[4 * j + p] * v4[4 * j + p];
-      s1 += k4[4 * (j + 1) + p] * v4[4 * (j + 1) + p];
-      s2 += k4[4 * (j + 2) + p] * v4[4 * (j + 2) + p];
-      s3 += k4[4 * (j + 3) + p] * v4[4 * (j + 3) + p];
-    }
-    for (; j < n; ++j) s0 += k4[4 * j + p] * v4[4 * j + p];
-    out[p] = (s0 + s1) + (s2 + s3);
-  }
-}
-
-void Lane4MatVecScalar(const double* k4, const double* v4, int n1, int n2,
-                       double* kv4) {
-  for (int i = 0; i < n1; ++i) {
-    Lane4DotScalar(k4 + static_cast<size_t>(i) * n2 * 4, v4, n2, kv4 + i * 4);
-  }
-}
-
-void Lane4KtuScalar(const double* k4, const double* u4, int n1, int n2,
-                    double* ktu4) {
-  for (int j = 0; j < 4 * n2; ++j) ktu4[j] = 0.0;
-  for (int i = 0; i < n1; ++i) {
-    const double* krow = k4 + static_cast<size_t>(i) * n2 * 4;
-    const double* ui = u4 + i * 4;
-    for (int j = 0; j < n2; ++j) {
-      for (int p = 0; p < 4; ++p) {
-        // Fused multiply-add, like mat_tvec_accum (whose solo accumulation
-        // order this kernel replays lane by lane). fma is correctly rounded,
-        // so scalar and AVX2 stay bit-identical here.
-        ktu4[j * 4 + p] = std::fma(krow[j * 4 + p], ui[p], ktu4[j * 4 + p]);
-      }
-    }
-  }
-}
-
-void Lane4DivMaskedScalar(double a, const double* x4,
-                          const unsigned char* mask, int n, double* out4) {
-  for (int p = 0; p < 4; ++p) {
-    if (!mask[p]) continue;
-    for (int i = 0; i < n; ++i) out4[i * 4 + p] = a / x4[i * 4 + p];
-  }
-}
-
-void Lane4ViolationScalar(const double* u4, const double* x4, int n, double a,
-                          double* out) {
-  for (int p = 0; p < 4; ++p) {
-    double violation = 0.0;
-    for (int i = 0; i < n; ++i) {
-      violation += std::fabs(u4[i * 4 + p] * x4[i * 4 + p] - a);
-    }
-    out[p] = violation;
-  }
-}
-
-void Lane4PlanScalar(const double* u4, const double* k4, const double* c4,
-                     const double* v4, int n1, int n2, double* p4,
-                     double* rows4) {
-  for (int p = 0; p < 4; ++p) {
-    for (int i = 0; i < n1; ++i) {
-      const size_t base = static_cast<size_t>(i) * n2 * 4;
-      const double ui = u4[i * 4 + p];
-      double s0 = 0.0, s1 = 0.0;
-      int j = 0;
-      for (; j + 2 <= n2; j += 2) {
-        const double p0 = ui * k4[base + j * 4 + p] * v4[j * 4 + p];
-        const double p1 =
-            ui * k4[base + (j + 1) * 4 + p] * v4[(j + 1) * 4 + p];
-        p4[base + j * 4 + p] = p0;
-        p4[base + (j + 1) * 4 + p] = p1;
-        s0 += p0 * c4[base + j * 4 + p];
-        s1 += p1 * c4[base + (j + 1) * 4 + p];
-      }
-      for (; j < n2; ++j) {
-        const double p0 = ui * k4[base + j * 4 + p] * v4[j * 4 + p];
-        p4[base + j * 4 + p] = p0;
-        s0 += p0 * c4[base + j * 4 + p];
-      }
-      rows4[i * 4 + p] = s0 + s1;
-    }
-  }
-}
-
 void VecAccumScalar(const double* x, double* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
 }
@@ -360,8 +272,8 @@ void MatTVecAccumScalar(const double* mat, int64_t ld, const double* u,
   for (int r = 0; r < rows; ++r) {
     const double* row = mat + static_cast<size_t>(r) * ld;
     const double ur = u[r];
-    // fma keeps the r-ascending per-element accumulation order (the
-    // contract lane4_ktu replays) while matching the AVX2 table bitwise.
+    // fma keeps the r-ascending per-element accumulation order while
+    // matching the AVX2 table bitwise.
     for (int c = 0; c < cols; ++c) out[c] = std::fma(ur, row[c], out[c]);
   }
 }
@@ -391,8 +303,6 @@ void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
 constexpr KernelSet kScalarSet = {
     "scalar",        VecExpScalar,      RowDotScalar,
     GemmRow2Scalar,  GemmRow1Scalar,    AdamUpdateScalar,
-    Lane4DotScalar,  Lane4MatVecScalar, Lane4KtuScalar,
-    Lane4DivMaskedScalar, Lane4ViolationScalar, Lane4PlanScalar,
     VecAccumScalar,  VecAxpyScalar,     VecMulAccumScalar,
     VecAddScalarScalar, EwBackwardScalar,
     VecAddScalarKernel, VecSubScalar,   VecMulScalar,

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernel layer for the per-element hot paths:
 // the batch exponential (VecExp), the GEMM register-blocked microkernels,
 // the MatVecInto row reduction, the Adam parameter update, and the
-// interleaved group-of-4 dot used by the fused Sinkhorn micro-solver.
+// elementwise accumulation/forward kernels of the training path.
 //
 // Dispatch model: one function-pointer table (KernelSet) resolved once per
 // process — CERL_FORCE_SCALAR=<non-zero> in the environment forces the
@@ -16,18 +16,12 @@
 //  - vec_exp is POSITION-UNIFORM: element i's result depends only on in[i],
 //    never on i, n, or alignment (the AVX2 tail is masked full-width
 //    arithmetic, not a scalar epilogue). Callers may therefore batch many
-//    small arrays into one call and get bitwise-identical results — the
-//    fused micro-solver's stacked kernel build relies on this.
+//    small arrays into one call and get bitwise-identical results.
 //  - row_dot fixes the 4-accumulator reduction order
 //    (s0+s1)+(s2+s3) with the tail folded into s0. The AVX2 version keeps
 //    that order and fuses each multiply-add (FMA), so scalar and AVX2
 //    differ by the usual FMA rounding (~1 ulp per term); within one kernel
 //    set the result is exact and split-independent.
-//  - lane4_dot replays row_dot's accumulation order lane-by-lane on
-//    4-interleaved data (element j of lane p at data[4*j + p]): lane p of
-//    the output is bitwise what row_dot of the SAME kernel set returns for
-//    lane p's deinterleaved data. This is the keystone of the fused
-//    micro-solver's solo-bitwise guarantee.
 //  - gemm_row2 / gemm_row1 and adam_update are elementwise/independent per
 //    output and keep the scalar expression shape; the AVX2 versions use
 //    FMA, so they track the scalar results to a few ulp per accumulation
@@ -96,53 +90,6 @@ struct KernelSet {
                       int64_t n, double beta1, double beta2, double inv_bc1,
                       double inv_bc2, double eps, double lr,
                       double weight_decay);
-
-  /// Four interleaved dot products: out[p] = dot(k4 lane p, v4 lane p) for
-  /// n-element lanes stored as k4[4*j + p]. Lane p's result is bitwise
-  /// row_dot(lane p) of the same kernel set.
-  void (*lane4_dot)(const double* k4, const double* v4, int n,
-                    double* out /*[4]*/);
-
-  // --- whole-sweep lane kernels for the fused Sinkhorn micro-solver ------
-  //
-  // Each runs one full solver sweep over a 4-lane interleaved stack
-  // (element (i, j) of lane p at [(i * n2 + j) * 4 + p]). Apart from
-  // lane4_matvec (whose rows are lane4_dot, FMA in the AVX2 table), these
-  // are PLAIN mul/add/div/fabs in the solo solver's exact per-lane
-  // evaluation order — individually rounded IEEE ops — so their results are
-  // bitwise identical in BOTH tables; the AVX2 versions only widen the
-  // independent lane dimension.
-
-  /// kv4[i*4 + p] = lane4_dot of kernel row i and v4, for i in [0, n1).
-  void (*lane4_matvec)(const double* k4, const double* v4, int n1, int n2,
-                       double* kv4);
-
-  /// ktu4 = K^T u per lane: zero-fills ktu4 then accumulates
-  /// ktu4[j*4+p] = fma(k4[(i*n2+j)*4+p], u4[i*4+p], ktu4[j*4+p]) with i
-  /// ascending (the solo KernelTransposeTimesVec / mat_tvec_accum order;
-  /// fma is correctly rounded, so both tables agree bitwise).
-  void (*lane4_ktu)(const double* k4, const double* u4, int n1, int n2,
-                    double* ktu4);
-
-  /// out4[i*4+p] = a / x4[i*4+p] for lanes with mask[p] != 0; other lanes
-  /// keep their previous out4 values bit-exactly (the fused solver's frozen
-  /// lanes). Plain IEEE division.
-  void (*lane4_div_masked)(double a, const double* x4,
-                           const unsigned char* mask /*[4]*/, int n,
-                           double* out4);
-
-  /// out[p] = sum_i fabs(u4[i*4+p] * x4[i*4+p] - a), i ascending — the solo
-  /// Row/ColViolation reduction per lane.
-  void (*lane4_violation)(const double* u4, const double* x4, int n, double a,
-                          double* out /*[4]*/);
-
-  /// Plan assembly per lane, replaying the solo AssemblePlanCost: for each
-  /// row i, p4 = u_i * k4 * v4 elementwise (left-associated double
-  /// multiply), with the paired s0/s1 cost accumulators over even/odd j and
-  /// rows4[i*4+p] = s0 + s1. The caller sums rows4 serially per lane.
-  void (*lane4_plan)(const double* u4, const double* k4, const double* c4,
-                     const double* v4, int n1, int n2, double* p4,
-                     double* rows4);
 
   // --- elementwise accumulation kernels ----------------------------------
   //
@@ -214,8 +161,8 @@ struct KernelSet {
 
   /// Transposed mat-vec accumulation panel: zero-fills out[0..cols) then
   /// out[c] = fma(u[r], mat[r*ld + c], out[c]) with r strictly ascending
-  /// per element (the K^T u reference order that lane4_ktu replays; fma is
-  /// correctly rounded, so both tables agree bitwise). Implementations may
+  /// per element (the K^T u reference order; fma is correctly rounded, so
+  /// both tables agree bitwise). Implementations may
   /// block over rows for locality; the per-element accumulation order
   /// never changes, so the result is bitwise identical to the
   /// row-at-a-time loop.

@@ -8,8 +8,8 @@
 // _mm256_fmadd_pd is written, never behind the compiler's back. That is
 // what makes the contracts in simd.h checkable — vec_exp's masked tail is
 // the same vector arithmetic as its body (position-uniform), row_dot's
-// scalar tail is a genuine mul+add (so lane4_dot can replay it bitwise),
-// and the scalar epilogues of the gemm/adam kernels stay plain mul+add.
+// scalar tail is a genuine mul+add, and the scalar epilogues of the
+// gemm/adam kernels stay plain mul+add.
 #include "linalg/simd.h"
 
 #if defined(CERL_HAVE_AVX2_KERNELS)
@@ -114,38 +114,6 @@ double RowDotAvx2(const double* row, const double* x, int n) {
   double s0 = s[0];
   for (; c < n; ++c) s0 += row[c] * x[c];
   return (s0 + s[1]) + (s[2] + s[3]);
-}
-
-// ---- lane4_dot -----------------------------------------------------------
-
-void Lane4DotAvx2(const double* k4, const double* v4, int n, double* out) {
-  // Bitwise replay of RowDotAvx2 with lanes = problems: accumulator m takes
-  // elements j % 4 == m via the same fused multiply-add, the tail is the
-  // same plain mul+add into accumulator 0, and the combine is the same
-  // (s0+s1)+(s2+s3) — per lane, out[p] == RowDotAvx2(lane p).
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const double* kp = k4 + 4 * j;
-    const double* vp = v4 + 4 * j;
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(kp), _mm256_loadu_pd(vp), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(kp + 4), _mm256_loadu_pd(vp + 4),
-                           acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(kp + 8), _mm256_loadu_pd(vp + 8),
-                           acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(kp + 12), _mm256_loadu_pd(vp + 12),
-                           acc3);
-  }
-  for (; j < n; ++j) {
-    acc0 = _mm256_add_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(k4 + 4 * j), _mm256_loadu_pd(v4 + 4 * j)),
-        acc0);
-  }
-  _mm256_storeu_pd(
-      out, _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
 }
 
 // ---- GEMM microkernels ---------------------------------------------------
@@ -323,108 +291,6 @@ void AdamUpdateAvx2(double* value, const double* grad, double* m, double* v,
     const __m256d val = _mm256_maskload_pd(value + j, mask);
     if (decay) update = _mm256_fmadd_pd(wdv, val, update);
     _mm256_maskstore_pd(value + j, mask, _mm256_fnmadd_pd(lrv, update, val));
-  }
-}
-
-// ---- fused micro-solver whole-sweep lane kernels -------------------------
-//
-// One __m256d vector = the four lanes of one logical element, so the solo
-// solver's per-element scalar ops map 1:1 onto vector ops. Everything
-// except lane4_matvec (which rides Lane4DotAvx2's FMA) is PLAIN mul / add /
-// div / fabs — individually rounded IEEE ops in the solo evaluation order —
-// making these kernels bitwise identical to their scalar-table twins.
-
-void Lane4MatVecAvx2(const double* k4, const double* v4, int n1, int n2,
-                     double* kv4) {
-  for (int i = 0; i < n1; ++i) {
-    Lane4DotAvx2(k4 + static_cast<size_t>(i) * n2 * 4, v4, n2, kv4 + i * 4);
-  }
-}
-
-void Lane4KtuAvx2(const double* k4, const double* u4, int n1, int n2,
-                  double* ktu4) {
-  const __m256d zero = _mm256_setzero_pd();
-  for (int j = 0; j < n2; ++j) _mm256_storeu_pd(ktu4 + j * 4, zero);
-  for (int i = 0; i < n1; ++i) {
-    const double* krow = k4 + static_cast<size_t>(i) * n2 * 4;
-    const __m256d ui = _mm256_loadu_pd(u4 + i * 4);
-    for (int j = 0; j < n2; ++j) {
-      // fmadd: the scalar twin's std::fma — correctly rounded, so the
-      // tables agree bitwise and the accumulate is one uop instead of two.
-      _mm256_storeu_pd(ktu4 + j * 4,
-                       _mm256_fmadd_pd(_mm256_loadu_pd(krow + j * 4), ui,
-                                       _mm256_loadu_pd(ktu4 + j * 4)));
-    }
-  }
-}
-
-void Lane4DivMaskedAvx2(double a, const double* x4, const unsigned char* mask,
-                        int n, double* out4) {
-  const int64_t on = -1;
-  const __m256i m = _mm256_set_epi64x(mask[3] ? on : 0, mask[2] ? on : 0,
-                                      mask[1] ? on : 0, mask[0] ? on : 0);
-  const __m256d mv = _mm256_castsi256_pd(m);
-  const __m256d av = _mm256_set1_pd(a);
-  for (int i = 0; i < n; ++i) {
-    // Frozen lanes keep their previous bits via blend; the division runs
-    // full-width (IEEE div never traps with default masked exceptions, and
-    // the frozen-lane quotients are discarded).
-    const __m256d q = _mm256_div_pd(av, _mm256_loadu_pd(x4 + i * 4));
-    const __m256d old = _mm256_loadu_pd(out4 + i * 4);
-    _mm256_storeu_pd(out4 + i * 4, _mm256_blendv_pd(old, q, mv));
-  }
-}
-
-void Lane4ViolationAvx2(const double* u4, const double* x4, int n, double a,
-                        double* out) {
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-  __m256d acc = _mm256_setzero_pd();
-  for (int i = 0; i < n; ++i) {
-    // fabs(u*x - a): plain mul, sub, bit-and — each lane accumulates in
-    // serial i order, exactly the scalar reduction.
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_loadu_pd(u4 + i * 4), _mm256_loadu_pd(x4 + i * 4));
-    acc = _mm256_add_pd(acc, _mm256_and_pd(_mm256_sub_pd(prod, av), abs_mask));
-  }
-  _mm256_storeu_pd(out, acc);
-}
-
-void Lane4PlanAvx2(const double* u4, const double* k4, const double* c4,
-                   const double* v4, int n1, int n2, double* p4,
-                   double* rows4) {
-  for (int i = 0; i < n1; ++i) {
-    const size_t base = static_cast<size_t>(i) * n2 * 4;
-    const __m256d ui = _mm256_loadu_pd(u4 + i * 4);
-    __m256d s0 = _mm256_setzero_pd();
-    __m256d s1 = _mm256_setzero_pd();
-    int j = 0;
-    for (; j + 2 <= n2; j += 2) {
-      // (ui * k) * v — left-associated plain multiplies, like the scalar
-      // twin; even j into s0, odd j into s1.
-      const __m256d p0 = _mm256_mul_pd(
-          _mm256_mul_pd(ui, _mm256_loadu_pd(k4 + base + j * 4)),
-          _mm256_loadu_pd(v4 + j * 4));
-      const __m256d p1 = _mm256_mul_pd(
-          _mm256_mul_pd(ui, _mm256_loadu_pd(k4 + base + (j + 1) * 4)),
-          _mm256_loadu_pd(v4 + (j + 1) * 4));
-      _mm256_storeu_pd(p4 + base + j * 4, p0);
-      _mm256_storeu_pd(p4 + base + (j + 1) * 4, p1);
-      s0 = _mm256_add_pd(
-          s0, _mm256_mul_pd(p0, _mm256_loadu_pd(c4 + base + j * 4)));
-      s1 = _mm256_add_pd(
-          s1, _mm256_mul_pd(p1, _mm256_loadu_pd(c4 + base + (j + 1) * 4)));
-    }
-    for (; j < n2; ++j) {
-      const __m256d p0 = _mm256_mul_pd(
-          _mm256_mul_pd(ui, _mm256_loadu_pd(k4 + base + j * 4)),
-          _mm256_loadu_pd(v4 + j * 4));
-      _mm256_storeu_pd(p4 + base + j * 4, p0);
-      s0 = _mm256_add_pd(
-          s0, _mm256_mul_pd(p0, _mm256_loadu_pd(c4 + base + j * 4)));
-    }
-    _mm256_storeu_pd(rows4 + i * 4, _mm256_add_pd(s0, s1));
   }
 }
 
@@ -831,8 +697,6 @@ void EwForwardAvx2(int op, const double* x, double* out, int64_t n) {
 constexpr KernelSet kAvx2Set = {
     "avx2",       VecExpAvx2,      RowDotAvx2,
     GemmRow2Avx2, GemmRow1Avx2,    AdamUpdateAvx2,
-    Lane4DotAvx2, Lane4MatVecAvx2, Lane4KtuAvx2,
-    Lane4DivMaskedAvx2, Lane4ViolationAvx2, Lane4PlanAvx2,
     VecAccumAvx2, VecAxpyAvx2,     VecMulAccumAvx2,
     VecAddScalarAvx2, EwBackwardAvx2,
     VecAddAvx2,   VecSubAvx2,      VecMulAvx2,

@@ -7,8 +7,6 @@
 #include "linalg/gemm.h"
 #include "linalg/ops.h"
 #include "linalg/simd.h"
-#include "ot/fused_micro_solver.h"
-#include "ot/sinkhorn_internal.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
@@ -17,7 +15,16 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
-using internal::kUnderflow;
+
+/// Scaling variables at or below this are treated as numerical underflow:
+/// the solver retries cold / falls back to the log domain.
+constexpr double kUnderflow = 1e-300;
+
+/// A solve that exhausts max_iterations with a final row violation within
+/// this factor of the tolerance is accepted as "slow but essentially
+/// converged" (the reference solver's accept-at-max-iterations behaviour);
+/// beyond it the solver retries / falls back.
+constexpr double kNearMissFactor = 100.0;
 
 // Fast path: standard Sinkhorn matrix scaling u = a ./ (K v), v = b ./ (K^T u)
 // with the Gibbs kernel K = exp(-C / reg) computed once. Returns false if the
@@ -193,8 +200,7 @@ void KernelTransposeTimesVec(const Matrix& kernel, const Vector& u,
   const double* ud = u.data();
   double* out = ktu->data();
   // mat_tvec_accum is a plain-elementwise kernel (bitwise identical across
-  // tables, range splits, and row blocking), so this stays the reference
-  // accumulation order that lane4_ktu replays in the fused micro-solver.
+  // tables, range splits, and row blocking).
   const auto& ks = linalg::simd::Kernels();
   if (!parallel) {
     // Serial fast path: identical to the grain=max ParallelFor below
@@ -273,7 +279,7 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
       }
     }
     // vec_div_scalar is plain IEEE division — the same bits as the scalar
-    // loop (and as lane4_div_masked in the fused micro-solver).
+    // loop.
     linalg::simd::Kernels().vec_div_scalar(a, kv->data(), u->data(), n1);
     have_u = true;
     KernelTransposeTimesVec(kernel, *u, ktu, config.parallel);
@@ -386,26 +392,13 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
   if (n1 == 0 || n2 == 0) {
     return Status::InvalidArgument("empty cost matrix");
   }
-  // Fault-injection hook: the calling thread is the stream's stage worker
-  // (even fused-batcher solves eject to the submitter), so a thread-local
-  // FaultScope correctly confines the fault to one tenant.
+  // Fault-injection hook: the calling thread is the stream's stage worker,
+  // so a thread-local FaultScope correctly confines the fault to one tenant.
   if (CERL_FAULT_POINT(FaultPoint::kSinkhornDiverge)) {
     return Status::NumericalError("injected sinkhorn non-convergence");
   }
-  // Shape-adapted warm starts happen before the solo/fused routing so both
-  // paths observe the identical dual state (the batcher gathers duals from
-  // the workspace through the same has_warm_start check as the solo path).
   if (base_config.warm_start && base_config.adaptive_warm_start) {
     workspace->AdaptWarmStart(n1, n2);
-  }
-  // Micro solves (below the parallel threshold) can be handed to the
-  // cross-stream batcher, which stacks concurrent small problems into one
-  // SIMD-lane sweep. Per problem the batcher is bit-identical to the solo
-  // path below (it ejects back here — with the batcher cleared — on any
-  // numerical anomaly), so this routing never changes results.
-  if (base_config.batcher != nullptr &&
-      static_cast<int64_t>(n1) * n2 < base_config.min_parallel_elements) {
-    return base_config.batcher->Submit(cost, base_config, workspace);
   }
 
   SinkhornWorkspace& ws = *workspace;
@@ -484,7 +477,7 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
     // matches the reference solver's accept-at-max-iterations behaviour
     // for merely slow convergence.
     if (outcome == ScalingOutcome::kNotConverged &&
-        final_violation > internal::kNearMissFactor * config.tolerance) {
+        final_violation > kNearMissFactor * config.tolerance) {
       continue;
     }
     const double total =

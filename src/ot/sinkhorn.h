@@ -24,8 +24,6 @@
 
 namespace cerl::ot {
 
-class MicroSolveBatcher;
-
 /// Sinkhorn solver settings.
 struct SinkhornConfig {
   /// Entropic regularization as a fraction of the mean cost (scale free).
@@ -45,10 +43,8 @@ struct SinkhornConfig {
   /// the dual profile is still a far better starting point than a cold
   /// start because u is fully recomputed from v (and v from u) in the first
   /// scaling update — only the profile carries information, not the scale.
-  /// The adapted start is deterministic and shared verbatim by the solo and
-  /// fused (batched) paths, so it never breaks their bit-identity; a
-  /// degenerate adapted start costs one retry, exactly like a degenerate
-  /// exact-shape warm start.
+  /// The adapted start is deterministic; a degenerate adapted start costs
+  /// one retry, exactly like a degenerate exact-shape warm start.
   bool adaptive_warm_start = true;
   /// Workspace solves only: split the kernel build, K·v / Kᵀ·u products and
   /// plan assembly across the global thread pool. Each output element is
@@ -64,15 +60,6 @@ struct SinkhornConfig {
   /// "Sinkhorn on the pool for multi-domain ingest"). Parallel and serial
   /// kernels are bit-identical, so the threshold never changes results.
   int64_t min_parallel_elements = 4096;
-  /// Workspace solves only: when set, solves below min_parallel_elements are
-  /// routed through this cross-stream batcher (fused_micro_solver.h), which
-  /// stacks concurrent small solves from different threads into one
-  /// SIMD-lane-parallel sweep. Per problem the result is bit-identical to
-  /// the solo path, so this is a pure scheduling choice. Not owned, not
-  /// serialized (checkpoints write the durable fields individually); the
-  /// pointer must outlive every solve that sees this config. nullptr =
-  /// always solo.
-  MicroSolveBatcher* batcher = nullptr;
 };
 
 /// Solution: the transport plan and the resulting OT cost <plan, cost>.
@@ -147,9 +134,6 @@ class SinkhornWorkspace {
   friend Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix&,
                                                  const SinkhornConfig&,
                                                  SinkhornWorkspace*);
-  // The fused micro-solver scatters accepted lanes (duals, plan, warm
-  // marker) into the workspace exactly as a solo solve would.
-  friend class MicroSolveBatcher;
 
   /// Sizes every buffer for an n1 x n2 problem, counting the buffers that
   /// actually had to grow beyond their high-water capacity.

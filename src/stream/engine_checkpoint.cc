@@ -11,7 +11,8 @@
 // Format CERLENG4 (writes; CERLENG1..3 still read — golden fixtures under
 // tests/testdata/ pin the old layouts):
 //   magic "CERLENG4",
-//   u32 num_workers, u8 validate_on_push          (informational),
+//   u32 num_workers, u8 reserved                  (written 1, ignored;
+//     formerly validate_on_push),
 //   u8 backlog_in_wal                              (v4: 1 = the journal is
 //     elided; the still-queued domains live in the WAL and Recover()
 //     replays them — see engine_storage.cc),
@@ -226,7 +227,9 @@ void WriteConfig(std::string* out, const core::CerlConfig& c) {
            static_cast<int64_t>(c.train.sinkhorn.min_parallel_elements));
   WritePod(out, static_cast<uint64_t>(c.train.seed));
   WritePod(out, static_cast<uint8_t>(c.train.verbose ? 1 : 0));
-  WritePod(out, static_cast<uint8_t>(c.train.async_validation ? 1 : 0));
+  // Reserved byte, formerly async_validation: written 0, read as a 0/1
+  // flag and ignored.
+  WritePod(out, static_cast<uint8_t>(0));
 
   WritePod(out, c.beta);
   WritePod(out, c.delta);
@@ -288,8 +291,8 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   CERL_RETURN_IF_ERROR(r->ReadPod(&seed, "seed"));
   c->train.seed = seed;
   CERL_RETURN_IF_ERROR(ReadBool(r, &c->train.verbose, "verbose"));
-  CERL_RETURN_IF_ERROR(
-      ReadBool(r, &c->train.async_validation, "async_validation"));
+  bool reserved = false;  // formerly async_validation; may be 1, ignored
+  CERL_RETURN_IF_ERROR(ReadBool(r, &reserved, "reserved config flag"));
 
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->beta, "beta"));
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->delta, "delta"));
@@ -336,7 +339,7 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
   out->reserve(reserve_bytes);
   out->append(kMagicV4, sizeof(kMagicV4));
   WritePod(out, static_cast<uint32_t>(pool_.num_threads()));
-  WritePod(out, static_cast<uint8_t>(options_.validate_on_push ? 1 : 0));
+  WritePod(out, static_cast<uint8_t>(1));  // reserved
   // With a WAL attached the journal is elided: every still-queued domain is
   // already an accepted-domain WAL record, and Recover() replays exactly the
   // ones at or past each stream's restored completed count. Snapshot size
@@ -410,10 +413,10 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
       out->append(*blob);
     }
     // Replay journal: the queue verbatim, in push order (elided when the
-    // backlog lives in the WAL). Validation verdicts are deliberately not
-    // persisted — restore re-runs pre-flight validation on every journaled
-    // domain, so the restored engine enforces exactly the same contract as
-    // the original push.
+    // backlog lives in the WAL). Restore re-enqueues every journaled domain
+    // through the normal pipeline, whose ingest stage validates it, so the
+    // restored engine enforces exactly the same contract as the original
+    // push.
     const uint32_t journal_count =
         backlog_in_wal ? 0u : static_cast<uint32_t>(s->queue.size());
     WritePod(out, journal_count);
@@ -578,9 +581,9 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     return Status::IoError("bad engine snapshot magic");
   }
   uint32_t saved_workers = 0;
-  uint8_t saved_validate = 0;
+  uint8_t reserved = 0;  // ignored
   CERL_RETURN_IF_ERROR(r.ReadPod(&saved_workers, "worker count"));
-  CERL_RETURN_IF_ERROR(r.ReadPod(&saved_validate, "validate flag"));
+  CERL_RETURN_IF_ERROR(r.ReadPod(&reserved, "reserved engine flag"));
   bool backlog_in_wal = false;
   if (version >= 4) {
     CERL_RETURN_IF_ERROR(ReadBool(&r, &backlog_in_wal, "backlog flag"));
@@ -618,10 +621,6 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     }
     core::CerlConfig config;
     CERL_RETURN_IF_ERROR(snapfmt::ReadConfig(&r, &config));
-    // The batcher pointer is runtime scheduling state, never serialized:
-    // re-wire it exactly as AddStream does for THIS engine's options.
-    config.train.sinkhorn.batcher =
-        options_.fuse_micro_solves ? &micro_batcher_ : nullptr;
     uint32_t completed = 0;
     CERL_RETURN_IF_ERROR(r.ReadPod(&completed, "completed domains"));
     // Lands in StreamState::pushed (an int): cap so a corrupt counter cannot

@@ -77,18 +77,12 @@ void StreamEngine::SetHealth(StreamState* s, StreamHealth health) {
 
 int StreamEngine::AddStream(std::string name, const core::CerlConfig& config,
                             int input_dim) {
-  // Point the stream's micro Sinkhorn solves at the shared cross-stream
-  // batcher. Results are bit-identical either way (fused_micro_solver.h),
-  // so this stays a runtime scheduling knob.
-  core::CerlConfig stream_config = config;
-  stream_config.train.sinkhorn.batcher =
-      options_.fuse_micro_solves ? &micro_batcher_ : nullptr;
   // Registration happens under the engine lock: the spill scheduler and WAL
   // compaction iterate streams_ while holding it, and the WAL append below
   // must be ordered against concurrent domain appends.
   std::lock_guard<std::mutex> lock(state_mutex_);
   streams_.push_back(std::make_unique<StreamState>(
-      std::move(name), stream_config, input_dim, &pool_));
+      std::move(name), config, input_dim, &pool_));
   const int id = num_streams() - 1;
   // Home worker by round-robin over the stream id: streams spread evenly,
   // and the assignment is deterministic so the steal tests can pin it.
@@ -175,28 +169,6 @@ void StreamEngine::EnqueueLocked(StreamState* s,
   d->shape.epochs = s->trainer.config().train.epochs;
   d->pushed_at = std::chrono::steady_clock::now();
   s->queue.push_back(std::move(domain));
-  // Pre-flight validation: pure, so it runs as a free pool task right away
-  // and overlaps whatever stage any stream is currently in. It is submitted
-  // before the domain's ingest task can be (dispatch happens at or after
-  // this push), so the ingest wait can never starve it of a worker.
-  // Infinite priority: a validation verdict is microseconds of work that an
-  // ingest stage may be blocked on — it must never queue behind stage work.
-  if (options_.validate_on_push) {
-    const int input_dim = s->input_dim;
-    ExecOptions opts;
-    opts.priority = std::numeric_limits<double>::infinity();
-    pool_.Execute([d, input_dim] {
-      Status status = core::CerlTrainer::ValidateDomain(d->split, input_dim);
-      std::lock_guard<std::mutex> lock(d->mutex);
-      d->status = status;
-      d->validated = true;
-      // Notify while holding d->mutex: the moment the ingest waiter can
-      // proceed, the pipeline may run to completion and destroy this
-      // PendingDomain — the held mutex is what keeps `d` alive until the
-      // notify call has returned.
-      d->cv.notify_all();
-    }, opts);
-  }
   UpdateScheduleLocked(s);
   MaybeDispatchLocked(s);
 }
@@ -245,7 +217,6 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   PendingDomain* d = s->in_flight.get();
   StreamState* sp = s;
   const int input_dim = s->input_dim;
-  const bool validate_inline = !options_.validate_on_push;
   d->stages_done = 0;
 
   // Stage pipeline, serialized per stream by the task group; unrelated
@@ -259,25 +230,11 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   // into WHAT a stage computes, only into who gets a worker next, so the
   // bit-identity contract is untouched.
 
-  // Ingest: resolve the pre-flight verdict, shed quarantined work, then
-  // BeginStage.
-  s->group.Submit([this, sp, d, validate_inline, input_dim] {
-    if (d->attempt == 0) {
-      // Resolve the validation rendezvous exactly once (retries reuse the
-      // verdict). This must complete before the PendingDomain can be
-      // destroyed, even on the shed path below — it is what keeps the
-      // free-pool validation task's pointer alive.
-      if (validate_inline) {
-        d->status = core::CerlTrainer::ValidateDomain(d->split, input_dim);
-      } else {
-        std::unique_lock<std::mutex> lock(d->mutex);
-        d->cv.wait(lock, [d] { return d->validated; });
-      }
-    }
+  // Ingest: shed quarantined work, validate the domain, then BeginStage.
+  s->group.Submit([this, sp, d, input_dim] {
     {
       // A stream quarantined while this domain sat queued sheds it here,
-      // through the normal pipeline (rather than clearing the queue in
-      // place, which could race the validation rendezvous above).
+      // through the normal pipeline.
       std::lock_guard<std::mutex> lock(state_mutex_);
       if (sp->health == StreamHealth::kQuarantined) {
         d->failure =
@@ -286,12 +243,16 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
         return;
       }
     }
-    if (!d->status.ok()) {
-      // Malformed domain: deterministic data error, dropped without retry
-      // (the serial path's CheckConsistent contract, minus the abort).
-      d->failure = d->status;
-      d->terminal = true;
-      return;
+    // Validated once: a retry only ever follows a domain that passed.
+    if (d->attempt == 0) {
+      Status valid = core::CerlTrainer::ValidateDomain(d->split, input_dim);
+      if (!valid.ok()) {
+        // Malformed domain: deterministic data error, dropped without retry
+        // (the serial path's CheckConsistent contract, minus the abort).
+        d->failure = std::move(valid);
+        d->terminal = true;
+        return;
+      }
     }
     // Fault a spilled tenant back in before the first trainer touch. A
     // store failure drops this domain through the normal failure plane

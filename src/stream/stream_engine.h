@@ -8,21 +8,15 @@
 // stream through the explicit per-domain stage pipeline exposed by
 // core::CerlTrainer:
 //
-//   PushDomain ──► [pre-flight validation]          (shared pool, immediate)
-//                  [ingest/standardize: BeginStage] ┐
-//                  [train + validate:   TrainStage] ├ per-stream TaskGroup
-//                  [herd/migrate:       MigrateStage]┘  (FIFO, serialized)
+//   PushDomain ──► [ingest:  ValidateDomain + BeginStage] ┐ per-stream
+//                  [train + validate:         TrainStage] ├ TaskGroup
+//                  [herd/migrate:           MigrateStage] ┘ (FIFO, serialized)
 //
-// Pipelining:
-//  - across streams, every stage runs concurrently — stream A's herding
-//    overlaps stream B's training on different workers;
-//  - within a stream, pre-flight validation of queued domains overlaps the
-//    current stage's training (it is pure and runs as a free pool task the
-//    moment the domain is pushed), and TrainStage itself overlaps the
-//    early-stopping validation pass with the next epoch's batches when
-//    config.train.async_validation is set. The algorithmic chain
-//    train(d) -> migrate(d) -> train(d+1) is inherently sequential (stage
-//    d+1 replays the memory M_d), so it stays serialized by the TaskGroup.
+// Pipelining: across streams, every stage runs concurrently — stream A's
+// herding overlaps stream B's training on different workers. Within a
+// stream the algorithmic chain train(d) -> migrate(d) -> train(d+1) is
+// inherently sequential (stage d+1 replays the memory M_d), so it stays
+// serialized by the TaskGroup.
 //
 // Scheduling (SchedulePolicy::kCostAware, the default): ready stage work is
 // ordered longest-expected-queue-first — each stream's strand carries a
@@ -55,7 +49,6 @@
 #include "causal/metrics.h"
 #include "core/cerl_trainer.h"
 #include "data/dataset.h"
-#include "ot/fused_micro_solver.h"
 #include "serve/batch_predictor.h"
 #include "serve/effect_snapshot.h"
 #include "stream/cost_model.h"
@@ -92,18 +85,6 @@ struct StreamEngineOptions {
   /// Ready-work ordering across streams. Runtime scheduling choice, not
   /// durable state (snapshots neither save nor restore it).
   SchedulePolicy schedule_policy = SchedulePolicy::kCostAware;
-  /// Run CerlTrainer::ValidateDomain on the shared pool as soon as a domain
-  /// is pushed, overlapping earlier stages; the ingest stage then merely
-  /// checks the verdict. Off = validate inside the ingest stage.
-  bool validate_on_push = true;
-  /// Route each stream's tiny Sinkhorn solves (below
-  /// SinkhornConfig::min_parallel_elements) through the engine's shared
-  /// ot::MicroSolveBatcher, which fuses concurrent same-shape solves from
-  /// different stream workers into one SIMD-lane sweep. Per problem the
-  /// fused solve is bit-identical to the solo path (see
-  /// fused_micro_solver.h), so this is a pure scheduling choice — a runtime
-  /// option, not durable state (snapshots neither save nor restore it).
-  bool fuse_micro_solves = true;
 
   // --- Fault isolation (per-tenant health; see README "Failure model") ---
 
@@ -293,7 +274,6 @@ class StreamEngine {
   /// reject: kNotFound for an unknown stream id, kUnavailable for a
   /// quarantined stream, kResourceExhausted when the stream's queue is at
   /// options.max_queued_domains. On OK the call returns immediately: the
-  /// domain's pre-flight validation starts on the shared pool, and the
   /// domain joins the stream's queue — its ingest -> train -> migrate
   /// pipeline is dispatched onto the stream's task group as soon as the
   /// previous domain completes (one pipeline in flight per stream, so a
@@ -436,8 +416,8 @@ class StreamEngine {
   /// CERLENG2 (predates the cost-model block: streams restore with cold
   /// cost models and re-learn rates within a few stages) and CERLENG1
   /// (also predates health state: streams restore as healthy).
-  /// Worker count and validate_on_push stay as THIS engine was constructed
-  /// — they are runtime scheduling choices, not durable state. Per-domain
+  /// Worker count stays as THIS engine was constructed — it is a runtime
+  /// scheduling choice, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient
   /// diagnostics); domain indices continue from the saved counters.
   /// All-or-nothing: on any error the engine still has zero streams.
@@ -496,8 +476,8 @@ class StreamEngine {
   /// sheds a quarantined stream's domains with kUnavailable).
   void PushDomainInternal(StreamState* s, data::DataSplit split);
 
-  /// Queues an admitted domain, kicks off its pre-flight validation, and
-  /// dispatches if the stream is idle. Caller holds state_mutex_.
+  /// Queues an admitted domain and dispatches if the stream is idle. Caller
+  /// holds state_mutex_.
   void EnqueueLocked(StreamState* s, std::unique_ptr<PendingDomain> domain);
 
   /// Starts the next queued domain's stage pipeline if the stream is idle
@@ -592,10 +572,6 @@ class StreamEngine {
   /// Stream workers (declared before the groups using it). Cost-aware
   /// (priority + stealing) or strict FIFO per options_.schedule_policy.
   WorkStealingPool pool_;
-  /// Cross-stream fused micro-solver (options_.fuse_micro_solves): every
-  /// stream's trainer config points its SinkhornConfig::batcher here.
-  /// Declared before streams_ so it outlives every stage task's solves.
-  ot::MicroSolveBatcher micro_batcher_;
   std::vector<std::unique_ptr<StreamState>> streams_;
 
   /// Guards stream queues / in-flight flags / results / health and the

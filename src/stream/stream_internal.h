@@ -4,10 +4,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,14 +30,6 @@ struct StreamEngine::PendingDomain {
   /// Pipeline stages of the CURRENT attempt that already completed (0..3);
   /// the remainder prices the in-flight part of the stream's priority.
   int stages_done = 0;
-
-  // Pre-flight validation rendezvous: set by the free pool task, awaited by
-  // the ingest stage (usually already complete — it overlapped an earlier
-  // stage's training).
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool validated = false;
-  Status status;
 
   // Failure plumbing between the stage tasks of one attempt (all tasks run
   // on the stream's serialized group, so no lock is needed): a stage that

@@ -1,7 +1,6 @@
 #include "train/train_loop.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -11,7 +10,6 @@
 #include "util/status.h"
 #include "util/keyed_pool.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cerl::train {
@@ -44,10 +42,6 @@ TrainLoop::TrainLoop(const LoopOptions& options,
       external_rng_(rng),
       owned_rng_(options.seed) {}
 
-void TrainLoop::EnableAsyncValidation(SnapshotValidLossFn fn) {
-  async_valid_fn_ = std::move(fn);
-}
-
 void TrainLoop::SetBatchShapeKey(BatchShapeKeyFn fn) {
   shape_key_fn_ = std::move(fn);
 }
@@ -75,7 +69,6 @@ TrainStats TrainLoop::Run(
   Rng& rng = external_rng_ != nullptr ? *external_rng_ : owned_rng_;
   nn::Adam optimizer(params_, options_.learning_rate);
   const int batch = std::min(options_.batch_size, n);
-  const int steps_per_epoch = (n + batch - 1) / batch;
 
   // One persistent tape per distinct batch shape: the graph topology is
   // fixed for a fixed shape key, so Reset() + re-record reuses every node
@@ -87,47 +80,9 @@ TrainStats TrainLoop::Run(
   // warmed arena too.
   KeyedLruPool<Tape> tapes(kTapePoolCapacity);
 
-  // Double-buffered gathered minibatches: batch k reads buffers[k % 2]
-  // while the assembler worker fills buffers[(k + 1) % 2]. A buffer is
-  // stable for the whole step, so losses may alias it via ConstantView.
-  std::array<std::vector<linalg::Matrix>, 2> buffers;
-  for (auto& b : buffers) b.resize(gather_sources.size());
-  auto gather_into = [&gather_sources](std::vector<linalg::Matrix>* dst,
-                                       const int* idx, int count) {
-    for (size_t s = 0; s < gather_sources.size(); ++s) {
-      gather_sources[s]->GatherRowsInto(idx, count, &(*dst)[s]);
-    }
-  };
-  // The assembler is a dedicated single-thread pool: tasks submitted to the
-  // global pool must not ParallelFor/Wait (a worker waiting on its own pool
-  // deadlocks), while a dedicated worker may — its gathers fan out to the
-  // global pool concurrently with the backward pass's GEMMs. `perm` is
-  // declared before `assembler` so that if an exception unwinds this frame
-  // with a prefetch in flight, the pool joins (destructor) while the
-  // permutation the task reads is still alive.
-  const bool pipelined = options_.pipeline_assembly &&
-                         !gather_sources.empty() && steps_per_epoch > 1;
-  std::vector<int> perm;
-  std::unique_ptr<ThreadPool> assembler;
-  if (pipelined) assembler = std::make_unique<ThreadPool>(1);
-
-  // Asynchronous validation (EnableAsyncValidation): a dedicated
-  // single-thread worker — separate from the assembler so a long validation
-  // pass does not stall batch prefetch — scores the snapshot taken after
-  // epoch e's last batch while epoch e+1 trains; the early-stop decision
-  // for epoch e resolves after epoch e+1's batches. `pending_snapshot` is
-  // written only by this thread and read only by the validator between
-  // Submit and Wait (which carry the fences).
-  // (`pending_snapshot`/`pending_value` are declared before `validator` so
-  // that if an exception unwinds with a score in flight, the pool joins —
-  // destructor — while the buffers the task reads are still alive, exactly
-  // like the perm/assembler ordering above.)
-  const bool async_valid = async_valid_fn_ != nullptr;
-  std::vector<linalg::Matrix> pending_snapshot;
-  double pending_value = 0.0;
-  bool pending = false;
-  std::unique_ptr<ThreadPool> validator;
-  if (async_valid) validator = std::make_unique<ThreadPool>(1);
+  // The batch's gathered rows, one matrix per source. The buffer is stable
+  // for the whole step, so losses may alias it via ConstantView.
+  std::vector<linalg::Matrix> gathered(gather_sources.size());
 
   WallTimer timer;
   TrainStats stats;
@@ -135,52 +90,17 @@ TrainStats TrainLoop::Run(
   std::vector<linalg::Matrix> best_snapshot = SnapshotValues(params_);
   int since_best = 0;
 
-  // Applies one epoch's validation outcome. `snapshot` is the parameter
-  // state the value was scored on (null => snapshot the live parameters,
-  // valid only for the synchronous path where nothing has trained since).
-  // Returns true when patience is exhausted.
-  auto resolve = [&](double value, std::vector<linalg::Matrix>* snapshot) {
-    if (value < best_valid - options_.min_improvement) {
-      best_valid = value;
-      best_snapshot =
-          snapshot != nullptr ? std::move(*snapshot) : SnapshotValues(params_);
-      since_best = 0;
-      return false;
-    }
-    return ++since_best >= options_.patience;
-  };
-
   bool stop = false;
   for (int epoch = 0; epoch < options_.epochs && !stop; ++epoch) {
-    perm = rng.Permutation(n);
-    if (!gather_sources.empty()) {
-      // Prime the first batch synchronously; later batches are either
-      // prefetched (pipelined) or gathered on demand.
-      gather_into(&buffers[0], perm.data(), std::min(batch, n));
-    }
+    const std::vector<int> perm = rng.Permutation(n);
     // Every sample is visited once per epoch: the final batch may be
     // shorter than `batch` but is never dropped.
-    for (int step = 0, start = 0; start < n; ++step, start += batch) {
-      const int end = std::min(start + batch, n);
-      const int count = end - start;
-      std::vector<linalg::Matrix>& gathered = buffers[step & 1];
-      if (step > 0 && !gather_sources.empty()) {
-        if (pipelined) {
-          assembler->Wait();  // the prefetch of this batch
-        } else {
-          gather_into(&gathered, perm.data() + start, count);
-        }
-      }
-      if (pipelined && end < n) {
-        const int next_count = std::min(start + 2 * batch, n) - end;
-        std::vector<linalg::Matrix>* next = &buffers[(step + 1) & 1];
-        const int* next_idx = perm.data() + end;
-        assembler->Submit([&gather_into, next, next_idx, next_count] {
-          gather_into(next, next_idx, next_count);
-        });
-      }
-
+    for (int start = 0; start < n; start += batch) {
+      const int count = std::min(start + batch, n) - start;
       const IndexSpan span(perm.data() + start, count);
+      for (size_t s = 0; s < gather_sources.size(); ++s) {
+        gather_sources[s]->GatherRowsInto(span.data(), count, &gathered[s]);
+      }
       const uint64_t shape_key = shape_key_fn_
                                      ? shape_key_fn_(span)
                                      : static_cast<uint64_t>(count);
@@ -204,46 +124,21 @@ TrainStats TrainLoop::Run(
       ++stats.steps;
       stats.samples_seen += count;
     }
-    if (pipelined) assembler->Wait();  // no gather may outlive `perm`
     stats.epochs_run = epoch + 1;
 
-    if (!async_valid) {
-      const double epoch_valid = valid_loss();
-      stop = resolve(epoch_valid, /*snapshot=*/nullptr);
-      if (options_.verbose && options_.log_every > 0 &&
-          epoch % options_.log_every == 0) {
-        CERL_LOG(Info) << options_.log_label << " epoch " << epoch
-                       << " valid loss " << epoch_valid;
-      }
-      continue;
+    const double epoch_valid = valid_loss();
+    if (epoch_valid < best_valid - options_.min_improvement) {
+      best_valid = epoch_valid;
+      best_snapshot = SnapshotValues(params_);
+      since_best = 0;
+    } else {
+      stop = ++since_best >= options_.patience;
     }
-
-    // Resolve the previous epoch's score (it ran during this epoch's
-    // batches), then launch this epoch's scoring unless stopping.
-    if (pending) {
-      validator->Wait();
-      pending = false;
-      stop = resolve(pending_value, &pending_snapshot);
-      if (options_.verbose && options_.log_every > 0 &&
-          (epoch - 1) % options_.log_every == 0) {
-        CERL_LOG(Info) << options_.log_label << " epoch " << epoch - 1
-                       << " valid loss " << pending_value << " (async)";
-      }
+    if (options_.verbose && options_.log_every > 0 &&
+        epoch % options_.log_every == 0) {
+      CERL_LOG(Info) << options_.log_label << " epoch " << epoch
+                     << " valid loss " << epoch_valid;
     }
-    if (!stop) {
-      pending_snapshot = SnapshotValues(params_);
-      validator->Submit([this, &pending_value, &pending_snapshot] {
-        pending_value = async_valid_fn_(pending_snapshot);
-      });
-      pending = true;
-    }
-  }
-  if (pending) {
-    // Epoch budget exhausted with the final epoch's score still in flight:
-    // it must still compete for the best snapshot, exactly as the
-    // synchronous loop scores its last epoch.
-    validator->Wait();
-    resolve(pending_value, &pending_snapshot);
   }
 
   RestoreValues(params_, best_snapshot);

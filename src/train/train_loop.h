@@ -17,19 +17,9 @@
 // re-recorded each step, so after the first epoch no tape-node Matrix is
 // allocated. Batch indices are passed as a span of the epoch permutation
 // (no per-step index vector). When the caller registers gather sources,
-// the loop assembles each batch's row-gathers itself and — by default —
-// prefetches batch k+1 on a dedicated util::ThreadPool worker while batch
-// k runs its forward/backward, double-buffering the gathered matrices.
-// Gathers are pure row copies, so the pipelined path is bit-identical to
-// the serial one.
-//
-// Validation can also come off the training thread: with
-// EnableAsyncValidation the loop snapshots the parameters after the last
-// batch of each epoch, scores the snapshot on a dedicated worker while the
-// next epoch's batches proceed, and resolves the early-stop decision one
-// epoch late. The best snapshot (and therefore the restored parameters)
-// is bit-identical to the synchronous loop; only the epoch at which the
-// loop notices it should stop shifts by at most one.
+// the loop gathers each batch's rows into one reused buffer before the
+// batch's forward/backward. The loop creates no thread: the gathers and
+// the step's kernels fan out to the global pool.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +67,6 @@ struct LoopOptions {
   int patience = 15;             ///< early-stopping patience (epochs)
   double min_improvement = 1e-6; ///< required drop in valid loss to count
   uint64_t seed = 1234;          ///< shuffle seed when no Rng* is supplied
-  bool pipeline_assembly = true; ///< overlap batch k+1 gathers with batch k
   bool verbose = false;
   int log_every = 10;            ///< epochs between verbose log lines
   std::string log_label = "train";
@@ -107,25 +96,15 @@ void RestoreValues(const std::vector<Parameter*>& params,
 using BatchLossFn = std::function<Var(Tape* tape, IndexSpan batch)>;
 
 /// Loss builder for the assembled-minibatch path: `gathered[s]` holds the
-/// batch's rows of the s-th registered gather source, assembled (and
-/// possibly prefetched) by the loop. The matrices are stable for the whole
-/// step, so Tape::ConstantView may alias them.
+/// batch's rows of the s-th registered gather source, assembled by the
+/// loop. The matrices are stable for the whole step, so Tape::ConstantView
+/// may alias them.
 using GatheredBatchLossFn = std::function<Var(
     Tape* tape, IndexSpan batch,
     const std::vector<linalg::Matrix>& gathered)>;
 
 /// Full validation criterion used for early stopping / snapshot selection.
 using ValidLossFn = std::function<double()>;
-
-/// Validation criterion evaluated against an explicit parameter snapshot
-/// (ordered like the loop's `params`). Used by the asynchronous validation
-/// path, where the live parameters keep training while the snapshot is
-/// scored on a worker — the callback must not read the live parameters
-/// (score a dedicated validation clone of the model instead) and must be
-/// safe to run concurrently with batch steps (it may fan work out to the
-/// global pool, like any kernel).
-using SnapshotValidLossFn =
-    std::function<double(const std::vector<linalg::Matrix>& snapshot)>;
 
 /// Optional tape-pool key for a batch: batches mapping to the same key
 /// reuse the same persistent tape. Defaults to the batch size; callers
@@ -155,20 +134,11 @@ class TrainLoop {
 
   /// Assembled-minibatch variant: for each batch the loop gathers the
   /// batch's rows of every matrix in `gather_sources` (all must have `n`
-  /// rows) and hands them to `batch_loss`. With pipeline_assembly the next
-  /// batch's gathers overlap the current batch's backward pass.
+  /// rows) and hands them to `batch_loss`.
   TrainStats Run(int n,
                  const std::vector<const linalg::Matrix*>& gather_sources,
                  const GatheredBatchLossFn& batch_loss,
                  const ValidLossFn& valid_loss);
-
-  /// Switches Run to asynchronous validation: after each epoch's last batch
-  /// the parameters are snapshotted and `fn` scores the snapshot on a
-  /// dedicated worker while the next epoch trains; the early-stop decision
-  /// resolves one epoch late. `valid_loss` is still used for the initial
-  /// (pre-training) criterion. Restored best parameters are bit-identical
-  /// to the synchronous loop; TrainStats::epochs_run may be one higher.
-  void EnableAsyncValidation(SnapshotValidLossFn fn);
 
   /// Refines the tape-pool key (see BatchShapeKeyFn). Default: batch size.
   void SetBatchShapeKey(BatchShapeKeyFn fn);
@@ -178,7 +148,6 @@ class TrainLoop {
   std::vector<Parameter*> params_;
   Rng* external_rng_;
   Rng owned_rng_;
-  SnapshotValidLossFn async_valid_fn_;  ///< non-null => async validation
   BatchShapeKeyFn shape_key_fn_;
 };
 

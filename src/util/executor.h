@@ -20,8 +20,7 @@ namespace cerl {
 struct ExecOptions {
   /// Higher runs sooner under a cost-aware executor (expected pending work,
   /// in EWMA milliseconds, for the stream engine's strands; +infinity for
-  /// run-next utility tasks like pre-flight validation). FIFO executors
-  /// ignore it.
+  /// run-next utility tasks). FIFO executors ignore it.
   double priority = 0.0;
   /// Preferred worker index, or -1 for no affinity. Executors with fewer
   /// workers wrap it; FIFO executors ignore it.

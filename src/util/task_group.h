@@ -24,7 +24,7 @@
 // tasks that block on the pool they run on (ParallelFor on the same pool,
 // ThreadPool::Wait) can deadlock once every worker is blocked. Run groups
 // whose tasks fan work out to the global pool on a dedicated pool (the
-// stream engine owns one), exactly like TrainLoop's assembler worker.
+// stream engine owns one).
 #pragma once
 
 #include <condition_variable>

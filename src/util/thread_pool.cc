@@ -80,9 +80,9 @@ void ParallelFor(int64_t begin, int64_t end,
   const int64_t chunks = std::min<int64_t>(workers, (n + grain - 1) / grain);
   const int64_t step = (n + chunks - 1) / chunks;
   // Per-call completion latch rather than ThreadPool::Wait(): the global
-  // pool serves concurrent callers (e.g. the training thread's GEMMs and
-  // the minibatch assembler's gathers), and a pool-global wait would block
-  // each caller on the other's tasks.
+  // pool serves concurrent callers (e.g. several stream workers' training
+  // GEMMs), and a pool-global wait would block each caller on the others'
+  // tasks.
   std::mutex done_mutex;
   std::condition_variable done_cv;
   int64_t remaining = 0;

@@ -64,7 +64,7 @@ std::vector<DataSplit> MakeStream(uint64_t seed, int domains, double shift) {
   return stream;
 }
 
-CerlConfig FastConfig(uint64_t seed, bool async_validation = false) {
+CerlConfig FastConfig(uint64_t seed) {
   CerlConfig c;
   c.net.rep_hidden = {16};
   c.net.rep_dim = 8;
@@ -76,7 +76,6 @@ CerlConfig FastConfig(uint64_t seed, bool async_validation = false) {
   c.train.alpha = 0.2;
   c.train.lambda = 1e-5;
   c.train.seed = seed;
-  c.train.async_validation = async_validation;
   c.memory_capacity = 80;
   return c;
 }
@@ -132,7 +131,7 @@ TEST_F(ChaosSoakTest, KOfNFaultedStreamsAreIsolatedBitwise) {
   std::vector<CerlConfig> configs;
   std::vector<std::vector<DataSplit>> domains;
   for (int s = 0; s < kStreams; ++s) {
-    configs.push_back(FastConfig(500 + 31 * s, /*async_validation=*/s % 2));
+    configs.push_back(FastConfig(500 + 31 * s));
     domains.push_back(MakeStream(60 + s, kDomains, 0.3 + 0.2 * s));
   }
 

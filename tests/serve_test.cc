@@ -82,7 +82,6 @@ CerlConfig SmallConfig(uint64_t seed) {
   c.train.alpha = 0.2;
   c.train.lambda = 1e-5;
   c.train.seed = seed;
-  c.train.async_validation = false;
   c.memory_capacity = 100;
   return c;
 }

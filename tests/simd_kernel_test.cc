@@ -1,9 +1,9 @@
 // Parity and contract tests for the runtime-dispatched SIMD kernel layer
 // (linalg/simd.h): scalar-vs-AVX2 agreement with a documented ULP
 // tolerance across sizes including every n % 4 remainder, the
-// position-uniformity / split-invariance guarantees the fused micro-solver
-// and Adam depend on, lane4_dot's exact row_dot-per-lane identity, VecExp's
-// in == out alias contract, and same-build run-to-run determinism.
+// position-uniformity / split-invariance guarantees that batched callers
+// and Adam depend on, VecExp's in == out alias contract, and same-build
+// run-to-run determinism.
 //
 // ULP tolerance rationale: the AVX2 kernels keep the scalar expression
 // shape but fuse each multiply-add (FMA), so every fused op can differ from
@@ -26,8 +26,8 @@
 namespace cerl::linalg::simd {
 namespace {
 
-// Sizes covering every remainder class mod 4 (and mod 8 for the unrolled
-// lane4_dot), plus sub-width arrays.
+// Sizes covering every remainder class mod 4 (and mod 8), plus sub-width
+// arrays.
 const int kSizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 64, 100, 257};
 
 uint64_t OrderedKey(double x) {
@@ -98,9 +98,7 @@ TEST(VecExpKernelTest, Avx2MatchesScalarWithinUlps) {
 
 // Position-uniformity: element i's result depends only on in[i] — the
 // masked AVX2 tail must be bitwise the full-width arithmetic, so batching
-// many small arrays into one call changes nothing. The fused micro-solver
-// builds all four Gibbs kernels with ONE vec_exp over the stacked lanes on
-// the strength of this exact property.
+// many small arrays into one call changes nothing.
 TEST(VecExpKernelTest, PositionUniformAcrossLengthsAndOffsets) {
   Rng rng(7);
   const std::vector<double> in = RandomVec(&rng, 257, -700.0, 700.0);
@@ -147,7 +145,7 @@ TEST(VecExpKernelTest, ClampAndSpecialValues) {
   EXPECT_EQ(out[3], out[4]);  // both clamp to exp(708)
 }
 
-// --- row_dot / lane4_dot -------------------------------------------------
+// --- row_dot -------------------------------------------------------------
 
 TEST(RowDotKernelTest, Avx2MatchesScalarWithinRelativeTolerance) {
   if (!ActiveIsAvx2()) GTEST_SKIP() << "AVX2 table not active";
@@ -163,32 +161,6 @@ TEST(RowDotKernelTest, Avx2MatchesScalarWithinRelativeTolerance) {
     }
     const double scale = std::max(1.0, std::fabs(static_cast<double>(ref)));
     EXPECT_NEAR(s, v, 1e-13 * scale) << "n=" << n;
-  }
-}
-
-// The fused micro-solver's keystone: lane p of lane4_dot is BITWISE the
-// row_dot of the same kernel set applied to lane p's deinterleaved data —
-// for the active table and for the scalar table.
-TEST(Lane4DotKernelTest, EachLaneBitwiseEqualsRowDot) {
-  Rng rng(17);
-  const KernelSet* sets[] = {&Kernels(), &ScalarKernels()};
-  for (const KernelSet* ks : sets) {
-    for (int n : kSizes) {
-      std::vector<double> k4 = RandomVec(&rng, n * 4, -3.0, 3.0);
-      std::vector<double> v4 = RandomVec(&rng, n * 4, -3.0, 3.0);
-      double out[4];
-      ks->lane4_dot(k4.data(), v4.data(), n, out);
-      for (int p = 0; p < 4; ++p) {
-        std::vector<double> row(n), x(n);
-        for (int j = 0; j < n; ++j) {
-          row[j] = k4[4 * j + p];
-          x[j] = v4[4 * j + p];
-        }
-        const double solo = ks->row_dot(row.data(), x.data(), n);
-        EXPECT_EQ(out[p], solo)
-            << ks->name << " n=" << n << " lane=" << p;
-      }
-    }
   }
 }
 
@@ -541,148 +513,6 @@ TEST(MatTVecAccumKernelTest, CrossTableReferenceAndColumnSplitExact) {
         for (int c = 0; c < cols; ++c) {
           EXPECT_EQ(ref[c], part[c])
               << "split=" << split << " " << rows << "x" << cols;
-        }
-      }
-    }
-  }
-}
-
-// --- lane4 whole-sweep kernels -------------------------------------------
-//
-// The fused micro-solver's guarantee rests on every lane kernel replaying
-// the solo kernel of the SAME table bit-for-bit on deinterleaved data.
-
-TEST(Lane4SweepKernelTest, MatVecAndKtuReplaySoloKernelsPerLane) {
-  Rng rng(67);
-  const KernelSet* sets[] = {&Kernels(), &ScalarKernels()};
-  for (const KernelSet* ks : sets) {
-    for (int n1 : {1, 2, 3, 5, 12}) {
-      for (int n2 : {1, 2, 4, 7, 9}) {
-        const std::vector<double> k4 =
-            RandomVec(&rng, n1 * n2 * 4, 0.01, 2.0);
-        const std::vector<double> u4 = RandomVec(&rng, n1 * 4, 0.1, 2.0);
-        const std::vector<double> v4 = RandomVec(&rng, n2 * 4, 0.1, 2.0);
-        std::vector<double> kv4(n1 * 4), ktu4(n2 * 4);
-        ks->lane4_matvec(k4.data(), v4.data(), n1, n2, kv4.data());
-        ks->lane4_ktu(k4.data(), u4.data(), n1, n2, ktu4.data());
-        for (int p = 0; p < 4; ++p) {
-          std::vector<double> kmat(n1 * n2), u(n1), v(n2);
-          for (int i = 0; i < n1; ++i) u[i] = u4[i * 4 + p];
-          for (int j = 0; j < n2; ++j) v[j] = v4[j * 4 + p];
-          for (int i = 0; i < n1; ++i) {
-            for (int j = 0; j < n2; ++j) {
-              kmat[i * n2 + j] = k4[(i * n2 + j) * 4 + p];
-            }
-          }
-          std::vector<double> kv(n1), ktu(n2);
-          ks->mat_vec(kmat.data(), n2, v.data(), n1, n2, kv.data());
-          ks->mat_tvec_accum(kmat.data(), n2, u.data(), n1, n2, ktu.data());
-          for (int i = 0; i < n1; ++i) {
-            EXPECT_EQ(kv4[i * 4 + p], kv[i])
-                << ks->name << " lane4_matvec lane=" << p;
-          }
-          for (int j = 0; j < n2; ++j) {
-            EXPECT_EQ(ktu4[j * 4 + p], ktu[j])
-                << ks->name << " lane4_ktu lane=" << p;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Lane4SweepKernelTest, DivMaskedFreezesLanesAndMatchesVecDiv) {
-  Rng rng(71);
-  const KernelSet* sets[] = {&Kernels(), &ScalarKernels()};
-  for (const KernelSet* ks : sets) {
-    for (int n : {1, 2, 3, 5, 8, 13}) {
-      const std::vector<double> x4 = RandomVec(&rng, n * 4, 0.1, 2.0);
-      const std::vector<double> before = RandomVec(&rng, n * 4, -9.0, 9.0);
-      const unsigned char mask[4] = {1, 0, 1, 0};
-      const double a = 0.37;
-      std::vector<double> out4 = before;
-      ks->lane4_div_masked(a, x4.data(), mask, n, out4.data());
-      for (int p = 0; p < 4; ++p) {
-        std::vector<double> x(n), expect(n);
-        for (int i = 0; i < n; ++i) x[i] = x4[i * 4 + p];
-        ks->vec_div_scalar(a, x.data(), expect.data(), n);
-        for (int i = 0; i < n; ++i) {
-          if (mask[p]) {
-            EXPECT_EQ(out4[i * 4 + p], expect[i])
-                << ks->name << " active lane=" << p;
-          } else {
-            EXPECT_EQ(out4[i * 4 + p], before[i * 4 + p])
-                << ks->name << " frozen lane=" << p;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Lane4SweepKernelTest, ViolationMatchesSoloReductionPerLane) {
-  Rng rng(73);
-  const KernelSet* sets[] = {&Kernels(), &ScalarKernels()};
-  for (const KernelSet* ks : sets) {
-    for (int n : {1, 2, 3, 5, 8, 21}) {
-      const std::vector<double> u4 = RandomVec(&rng, n * 4, 0.1, 2.0);
-      const std::vector<double> x4 = RandomVec(&rng, n * 4, 0.1, 2.0);
-      const double a = 0.25;
-      double out[4];
-      ks->lane4_violation(u4.data(), x4.data(), n, a, out);
-      for (int p = 0; p < 4; ++p) {
-        // The solo Row/ColViolation loop, i ascending.
-        double expect = 0.0;
-        for (int i = 0; i < n; ++i) {
-          expect += std::fabs(u4[i * 4 + p] * x4[i * 4 + p] - a);
-        }
-        EXPECT_EQ(out[p], expect) << ks->name << " lane=" << p << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(Lane4SweepKernelTest, PlanReplaysAssemblyOrderPerLane) {
-  Rng rng(79);
-  const KernelSet* sets[] = {&Kernels(), &ScalarKernels()};
-  for (const KernelSet* ks : sets) {
-    for (int n1 : {1, 2, 3, 5}) {
-      for (int n2 : {1, 2, 3, 4, 7, 10}) {
-        const std::vector<double> u4 = RandomVec(&rng, n1 * 4, 0.1, 2.0);
-        const std::vector<double> v4 = RandomVec(&rng, n2 * 4, 0.1, 2.0);
-        const std::vector<double> k4 =
-            RandomVec(&rng, n1 * n2 * 4, 0.01, 1.0);
-        const std::vector<double> c4 =
-            RandomVec(&rng, n1 * n2 * 4, 0.0, 4.0);
-        std::vector<double> p4(n1 * n2 * 4), rows4(n1 * 4);
-        ks->lane4_plan(u4.data(), k4.data(), c4.data(), v4.data(), n1, n2,
-                       p4.data(), rows4.data());
-        for (int p = 0; p < 4; ++p) {
-          for (int i = 0; i < n1; ++i) {
-            // AssemblePlanCost's row order: paired s0/s1 accumulators over
-            // even/odd j, combined as s0 + s1.
-            const double ui = u4[i * 4 + p];
-            double s0 = 0.0, s1 = 0.0;
-            int j = 0;
-            for (; j + 2 <= n2; j += 2) {
-              const int e0 = (i * n2 + j) * 4 + p;
-              const int e1 = (i * n2 + j + 1) * 4 + p;
-              const double p0 = ui * k4[e0] * v4[j * 4 + p];
-              const double p1 = ui * k4[e1] * v4[(j + 1) * 4 + p];
-              EXPECT_EQ(p4[e0], p0) << ks->name << " plan elem";
-              EXPECT_EQ(p4[e1], p1) << ks->name << " plan elem";
-              s0 += p0 * c4[e0];
-              s1 += p1 * c4[e1];
-            }
-            for (; j < n2; ++j) {
-              const int e = (i * n2 + j) * 4 + p;
-              const double pe = ui * k4[e] * v4[j * 4 + p];
-              EXPECT_EQ(p4[e], pe) << ks->name << " plan tail elem";
-              s0 += pe * c4[e];
-            }
-            EXPECT_EQ(rows4[i * 4 + p], s0 + s1)
-                << ks->name << " lane=" << p << " row=" << i;
-          }
         }
       }
     }

@@ -1,6 +1,6 @@
 // Tests for stream::StreamEngine, the multi-stream CERL ingest engine:
 // single-stream bit-identity with the serial CerlTrainer loop, per-stream
-// determinism under 4-way concurrency, pre-flight domain validation, and
+// determinism under 4-way concurrency, domain validation, and
 // result bookkeeping.
 #include <gtest/gtest.h>
 
@@ -60,7 +60,7 @@ std::vector<DataSplit> MakeStream(uint64_t seed, int domains, double shift) {
   return stream;
 }
 
-CerlConfig FastConfig(uint64_t seed, bool async_validation) {
+CerlConfig FastConfig(uint64_t seed) {
   CerlConfig c;
   c.net.rep_hidden = {16};
   c.net.rep_dim = 8;
@@ -72,7 +72,6 @@ CerlConfig FastConfig(uint64_t seed, bool async_validation) {
   c.train.alpha = 0.2;
   c.train.lambda = 1e-5;
   c.train.seed = seed;
-  c.train.async_validation = async_validation;
   c.memory_capacity = 100;
   return c;
 }
@@ -122,7 +121,7 @@ void ExpectBitIdentical(const SerialRun& serial, StreamEngine* engine, int id,
 }
 
 TEST(StreamEngineTest, SingleStreamBitIdenticalToSerialLoop) {
-  const CerlConfig config = FastConfig(33, /*async_validation=*/false);
+  const CerlConfig config = FastConfig(33);
   const std::vector<DataSplit> domains = MakeStream(10, 3, 1.0);
   const SerialRun serial = RunSerial(config, domains);
 
@@ -130,23 +129,6 @@ TEST(StreamEngineTest, SingleStreamBitIdenticalToSerialLoop) {
   options.num_workers = 2;
   StreamEngine engine(options);
   const int id = engine.AddStream("solo", config, kFeatures);
-  for (const DataSplit& split : domains) engine.PushDomain(id, split);
-  engine.Drain();
-  ExpectBitIdentical(serial, &engine, id, domains);
-}
-
-TEST(StreamEngineTest, AsyncValidationStreamStillBitIdenticalToSerial) {
-  // With async validation on in BOTH modes the engine schedules scoring on
-  // workers; restored weights (and thus everything downstream: predictions,
-  // memory migration) must not change.
-  const CerlConfig config = FastConfig(34, /*async_validation=*/true);
-  const std::vector<DataSplit> domains = MakeStream(11, 3, 1.0);
-  const SerialRun serial = RunSerial(config, domains);
-
-  StreamEngineOptions options;
-  options.num_workers = 2;
-  StreamEngine engine(options);
-  const int id = engine.AddStream("solo-async", config, kFeatures);
   for (const DataSplit& split : domains) engine.PushDomain(id, split);
   engine.Drain();
   ExpectBitIdentical(serial, &engine, id, domains);
@@ -160,8 +142,7 @@ TEST(StreamEngineTest, FourConcurrentStreamsAreEachDeterministic) {
   std::vector<std::vector<DataSplit>> domains;
   std::vector<SerialRun> serial;
   for (int s = 0; s < kStreams; ++s) {
-    configs.push_back(
-        FastConfig(100 + 13 * s, /*async_validation=*/(s % 2) == 1));
+    configs.push_back(FastConfig(100 + 13 * s));
     domains.push_back(MakeStream(20 + s, 2, 0.5 + 0.4 * s));
     serial.push_back(RunSerial(configs[s], domains[s]));
   }
@@ -227,7 +208,7 @@ TEST(StreamEngineTest, ValidateDomainRejectsMalformedData) {
 }
 
 TEST(StreamEngineTest, TestSplitWithoutGroundTruthSkipsMetrics) {
-  const CerlConfig config = FastConfig(66, /*async_validation=*/false);
+  const CerlConfig config = FastConfig(66);
   std::vector<DataSplit> domains = MakeStream(13, 2, 1.0);
   for (DataSplit& split : domains) {
     split.test.mu0.clear();  // production domain: no counterfactual truth
@@ -248,7 +229,7 @@ TEST(StreamEngineTest, TestSplitWithoutGroundTruthSkipsMetrics) {
 }
 
 TEST(StreamEngineTest, ResultsCarryMetricsAndMemoryStaysBounded) {
-  const CerlConfig config = FastConfig(55, /*async_validation=*/true);
+  const CerlConfig config = FastConfig(55);
   const std::vector<DataSplit> domains = MakeStream(12, 2, 1.5);
   StreamEngineOptions options;
   options.num_workers = 2;
@@ -291,7 +272,7 @@ TEST(StreamEngineTest, PushToUnknownStreamIsTypedReject) {
 }
 
 TEST(StreamEngineTest, ConcurrentDrainStreamFromTwoThreads) {
-  const CerlConfig config = FastConfig(71, /*async_validation=*/false);
+  const CerlConfig config = FastConfig(71);
   const std::vector<DataSplit> domains = MakeStream(17, 2, 1.0);
   StreamEngineOptions options;
   options.num_workers = 2;
@@ -311,7 +292,7 @@ TEST(StreamEngineTest, ConcurrentDrainStreamFromTwoThreads) {
 }
 
 TEST(StreamEngineTest, BoundedQueueShedsLoadWithResourceExhausted) {
-  const CerlConfig config = FastConfig(72, /*async_validation=*/false);
+  const CerlConfig config = FastConfig(72);
   StreamEngineOptions options;
   options.num_workers = 1;
   options.max_queued_domains = 2;
@@ -345,7 +326,7 @@ TEST(StreamEngineTest, BoundedQueueShedsLoadWithResourceExhausted) {
 }
 
 TEST(StreamEngineTest, MalformedDomainIsDroppedNotAborted) {
-  const CerlConfig config = FastConfig(73, /*async_validation=*/false);
+  const CerlConfig config = FastConfig(73);
   StreamEngineOptions options;
   options.num_workers = 2;
   StreamEngine engine(options);
@@ -371,7 +352,7 @@ TEST(StreamEngineTest, MalformedDomainIsDroppedNotAborted) {
 }
 
 TEST(StreamEngineTest, RepeatedBadDomainsQuarantineAndPushGetsTypedReject) {
-  const CerlConfig config = FastConfig(74, /*async_validation=*/false);
+  const CerlConfig config = FastConfig(74);
   StreamEngineOptions options;
   options.num_workers = 2;
   options.quarantine_after_failures = 2;
