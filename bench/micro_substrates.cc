@@ -190,7 +190,7 @@ void BM_VecExp(benchmark::State& state) {
 BENCHMARK(BM_VecExp)->Arg(256)->Arg(4096)->Arg(65536);
 
 // Cold-start Sinkhorn solves. Arg(1): the workspace solver (arena buffers,
-// parallel kernels, vectorized exp; warm start disabled so every solve runs
+// SIMD kernels, vectorized exp; warm start disabled so every solve runs
 // the full iteration). Arg(0): the allocate-per-call reference solver.
 void BM_Sinkhorn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

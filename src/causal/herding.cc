@@ -2,13 +2,11 @@
 
 #include <cmath>
 #include <limits>
-#include <mutex>
 
 #include "linalg/gemm.h"
 #include "linalg/ops.h"
 #include "util/check.h"
 #include "util/distributions.h"
-#include "util/thread_pool.h"
 
 namespace cerl::causal {
 
@@ -25,19 +23,17 @@ std::vector<int> HerdingSelect(const linalg::Matrix& rows, int count) {
   // so the argmin needs only the candidate row norms and mean-dot products
   // (precomputed once) plus one MatVec of the candidates against s per
   // pick — replacing the O(count·n·d) scalar scan with GEMV-shaped kernels
-  // that vectorize and split across the thread pool.
+  // that vectorize.
   const linalg::Vector mean = linalg::ColumnMeans(rows);
   linalg::Vector mdot;
   linalg::MatVecInto(rows, mean, &mdot);
   linalg::Vector rnorm(n);
-  ParallelFor(0, n, [&](int64_t lo, int64_t hi) {
-    for (int64_t c = lo; c < hi; ++c) {
-      const double* row = rows.row(static_cast<int>(c));
-      double s = 0.0;
-      for (int j = 0; j < d; ++j) s += row[j] * row[j];
-      rnorm[c] = s;
-    }
-  });
+  for (int c = 0; c < n; ++c) {
+    const double* row = rows.row(c);
+    double s = 0.0;
+    for (int j = 0; j < d; ++j) s += row[j] * row[j];
+    rnorm[c] = s;
+  }
 
   std::vector<int> selected;
   selected.reserve(count);
@@ -48,34 +44,19 @@ std::vector<int> HerdingSelect(const linalg::Matrix& rows, int count) {
     linalg::MatVecInto(rows, running_sum, &sdot);
     const double inv = 1.0 / static_cast<double>(k + 1);
     const double inv2 = inv * inv;
-    // Deterministic parallel argmin: each chunk scans in index order with a
-    // strict <, and chunks combine by (score, index), so the winner is the
-    // global first minimum for any split — identical to the serial scan.
-    std::mutex merge_mutex;
+    // Strict < keeps the first minimum in index order, as the reference
+    // scan does.
     double best_score = std::numeric_limits<double>::infinity();
     int best = n;
-    ParallelFor(
-        0, n,
-        [&](int64_t lo, int64_t hi) {
-          double chunk_score = std::numeric_limits<double>::infinity();
-          int chunk_best = n;
-          for (int64_t c = lo; c < hi; ++c) {
-            if (used[c]) continue;
-            const double score =
-                (2.0 * sdot[c] + rnorm[c]) * inv2 - 2.0 * mdot[c] * inv;
-            if (score < chunk_score) {
-              chunk_score = score;
-              chunk_best = static_cast<int>(c);
-            }
-          }
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          if (chunk_score < best_score ||
-              (chunk_score == best_score && chunk_best < best)) {
-            best_score = chunk_score;
-            best = chunk_best;
-          }
-        },
-        /*grain=*/256);
+    for (int c = 0; c < n; ++c) {
+      if (used[c]) continue;
+      const double score =
+          (2.0 * sdot[c] + rnorm[c]) * inv2 - 2.0 * mdot[c] * inv;
+      if (score < best_score) {
+        best_score = score;
+        best = c;
+      }
+    }
     CERL_CHECK_LT(best, n);
     used[best] = 1;
     selected.push_back(best);

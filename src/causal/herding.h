@@ -15,8 +15,8 @@ namespace cerl::causal {
 /// Returns the indices (into `rows`) of `count` exemplars chosen by greedy
 /// mean matching, in selection order. count <= rows.rows(). Implemented via
 /// the expanded-norm decomposition (precomputed candidate norms/mean dots,
-/// one MatVec against the running sum per pick, deterministic ParallelFor
-/// argmin) — algebraically equal to the direct scan up to floating-point
+/// one MatVec against the running sum per pick, first-minimum argmin) —
+/// algebraically equal to the direct scan up to floating-point
 /// rounding of well-separated scores.
 std::vector<int> HerdingSelect(const linalg::Matrix& rows, int count);
 

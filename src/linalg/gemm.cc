@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "linalg/simd.h"
-#include "util/thread_pool.h"
 
 namespace cerl::linalg {
 namespace {
@@ -52,7 +51,7 @@ void GemmRows(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
               const Matrix& b, Matrix* c, int m_begin, int m_end, int n_dim,
               int k_dim) {
   // The pack panels are reused across calls (thread-local, so concurrent
-  // row-panel workers keep disjoint buffers). Allocating-and-zeroing them
+  // stream workers keep disjoint buffers). Allocating-and-zeroing them
   // per call cost more than the arithmetic for the skinny GEMMs that
   // dominate training steps.
   static thread_local std::vector<double> pack_a(
@@ -128,19 +127,7 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   }
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
 
-  // Parallelize across row panels; each worker owns a disjoint slice of C.
-  const int64_t flops = static_cast<int64_t>(m) * n * k;
-  if (flops < 1 << 18) {
-    GemmRows(trans_a, trans_b, alpha, a, b, c, 0, m, n, k);
-    return;
-  }
-  ParallelFor(
-      0, m,
-      [&](int64_t lo, int64_t hi) {
-        GemmRows(trans_a, trans_b, alpha, a, b, c, static_cast<int>(lo),
-                 static_cast<int>(hi), n, k);
-      },
-      /*grain=*/kBlockM);
+  GemmRows(trans_a, trans_b, alpha, a, b, c, 0, m, n, k);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -162,24 +149,11 @@ Vector MatVec(const Matrix& a, const Vector& x) {
   return y;
 }
 
-void MatVecInto(const Matrix& a, const Vector& x, Vector* y, int64_t grain) {
+void MatVecInto(const Matrix& a, const Vector& x, Vector* y) {
   CERL_CHECK_EQ(a.cols(), static_cast<int>(x.size()));
   y->resize(a.rows());
-  const int cols = a.cols();
-  double* yd = y->data();
-  const double* xd = x.data();
-  // Row panels are independent, so the parallel split is deterministic; the
-  // row_dot kernel's four fixed-order accumulators make the result
-  // identical for any split.
-  if (grain < 0) grain = std::max<int64_t>(8, (1 << 16) / (cols + 1));
-  const auto& ks = simd::Kernels();
-  ParallelFor(
-      0, a.rows(),
-      [&](int64_t lo, int64_t hi) {
-        ks.mat_vec(a.row(static_cast<int>(lo)), cols, xd,
-                   static_cast<int>(hi - lo), cols, yd + lo);
-      },
-      grain);
+  simd::Kernels().mat_vec(a.data(), a.cols(), x.data(), a.rows(), a.cols(),
+                          y->data());
 }
 
 }  // namespace cerl::linalg

@@ -1,8 +1,8 @@
 // General matrix multiply with optional operand transposes:
 //   C = alpha * op(A) * op(B) + beta * C
-// Implemented as a cache-blocked kernel parallelized over row panels via the
-// global thread pool. This is the performance-critical primitive behind all
-// neural-network training in the repository.
+// Implemented as a cache-blocked kernel that runs on the calling thread. This
+// is the performance-critical primitive behind all neural-network training in
+// the repository.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -27,11 +27,7 @@ Matrix MatMulT(Trans trans_a, Trans trans_b, const Matrix& a, const Matrix& b);
 Vector MatVec(const Matrix& a, const Vector& x);
 
 /// y = A * x written into caller-owned storage (resized to a.rows(); no
-/// allocation once capacity is established). The per-row reduction order is
-/// fixed, so results are identical for any thread-pool split. `grain`
-/// overrides the parallel split granularity (rows per chunk): -1 picks a
-/// cache-based default, INT64_MAX forces the serial path.
-void MatVecInto(const Matrix& a, const Vector& x, Vector* y,
-                int64_t grain = -1);
+/// allocation once capacity is established).
+void MatVecInto(const Matrix& a, const Vector& x, Vector* y);
 
 }  // namespace cerl::linalg

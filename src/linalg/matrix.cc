@@ -6,8 +6,6 @@
 
 #include "linalg/simd.h"
 
-#include "util/thread_pool.h"
-
 namespace cerl::linalg {
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
@@ -84,20 +82,11 @@ Matrix Matrix::GatherRows(const int* indices, int n) const {
 void Matrix::GatherRowsInto(const int* indices, int n, Matrix* out) const {
   CERL_CHECK_GE(n, 0);
   if (out->rows() != n || out->cols() != cols_) *out = Matrix(n, cols_);
-  // Split across rows only when each chunk moves enough bytes to beat the
-  // fork/join cost; gathers are pure copies, so the split is deterministic.
-  const int64_t grain =
-      std::max<int64_t>(1, static_cast<int64_t>(32 * 1024) / (cols_ + 1));
-  ParallelFor(
-      0, n,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int r = indices[i];
-          CERL_CHECK(r >= 0 && r < rows_);
-          std::copy(row(r), row(r) + cols_, out->row(static_cast<int>(i)));
-        }
-      },
-      grain);
+  for (int i = 0; i < n; ++i) {
+    const int r = indices[i];
+    CERL_CHECK(r >= 0 && r < rows_);
+    std::copy(row(r), row(r) + cols_, out->row(i));
+  }
 }
 
 void Matrix::Scale(double s) {

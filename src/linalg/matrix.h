@@ -84,8 +84,7 @@ class Matrix {
   Matrix GatherRows(const int* indices, int n) const;
 
   /// Gathers rows into `out`, reusing its storage when the shape already
-  /// matches (the zero-allocation path for minibatch assembly). Row copies
-  /// are parallelized across the global thread pool for large gathers.
+  /// matches (the zero-allocation path for minibatch assembly).
   void GatherRowsInto(const int* indices, int n, Matrix* out) const;
 
   /// Reshapes to rows x cols in place. The heap buffer is reused whenever

@@ -9,7 +9,7 @@
 // build and the CPU support it, with the scalar table as the fallback.
 // Resolution is a pure function of the environment and the CPU, so a given
 // build is deterministic run-to-run (and a given kernel set is
-// deterministic across thread-pool splits: every kernel reduces in a fixed
+// deterministic across range splits: every kernel reduces in a fixed
 // order).
 //
 // Numerics contract, kernel by kernel:
@@ -96,8 +96,7 @@ struct KernelSet {
   // Each output element is independent and computed either with PLAIN mul /
   // add / div / compare-select (individually rounded IEEE ops) or with a
   // correctly-rounded std::fma — both choices make results bitwise
-  // identical in BOTH tables and independent of any ParallelFor range
-  // split. These carry the training path's elementwise traffic: the
+  // identical in BOTH tables and independent of any range split. These carry the training path's elementwise traffic: the
   // Sinkhorn K^T u accumulation, gradient accumulation, and the activation
   // backward passes.
 

@@ -266,9 +266,8 @@ void AdamUpdateAvx2(double* value, const double* grad, double* m, double* v,
   const int rem = static_cast<int>(n - j);
   if (rem > 0) {
     // Masked full-width tail, same vector arithmetic as the body: the
-    // update is position-uniform, so ParallelFor may split a parameter at
-    // any boundary and every split produces identical bits (the simd.h
-    // adam_update contract). Dead lanes read as 0.0 (sqrt(0) and /eps are
+    // update is position-uniform, so any split of a parameter produces
+    // identical bits (the simd.h adam_update contract). Dead lanes read as 0.0 (sqrt(0) and /eps are
     // benign) and are never stored.
     const int64_t on = -1;
     __m256i mask = _mm256_setzero_si256();

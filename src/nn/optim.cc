@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "linalg/simd.h"
-#include "util/thread_pool.h"
 
 namespace cerl::nn {
 
@@ -62,22 +61,12 @@ void Adam::Step() {
       1.0 / (1.0 - std::pow(beta1_, static_cast<double>(t_)));
   const double inv_bc2 =
       1.0 / (1.0 - std::pow(beta2_, static_cast<double>(t_)));
-  // The update is elementwise (adam_update kernel, see linalg/simd.h), so
-  // splitting a parameter across the pool at a fixed grain is
-  // deterministic. Small tensors (biases) stay serial to skip fork/join.
   const auto& ks = linalg::simd::Kernels();
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
-    linalg::Matrix& m = m_[i];
-    linalg::Matrix& v = v_[i];
-    ParallelFor(
-        0, p->value.size(),
-        [&](int64_t lo, int64_t hi) {
-          ks.adam_update(p->value.data() + lo, p->grad.data() + lo,
-                         m.data() + lo, v.data() + lo, hi - lo, beta1_,
-                         beta2_, inv_bc1, inv_bc2, eps_, lr_, weight_decay_);
-        },
-        /*grain=*/4096);
+    ks.adam_update(p->value.data(), p->grad.data(), m_[i].data(),
+                   v_[i].data(), p->value.size(), beta1_, beta2_, inv_bc1,
+                   inv_bc2, eps_, lr_, weight_decay_);
   }
 }
 

@@ -22,7 +22,7 @@ autodiff::Var PairwiseSquaredDistancesVar(autodiff::Var a, autodiff::Var b);
 /// detached cost. Scalar Var. Either side empty => constant 0.
 ///
 /// With a workspace (the training hot path) the solve runs in the
-/// workspace's arena — warm-started duals, parallel kernels, zero
+/// workspace's arena — warm-started duals, SIMD kernels, zero
 /// steady-state allocations — and the plan enters the tape as a constant
 /// VIEW of the workspace's plan buffer instead of a fresh Matrix copy. The
 /// workspace must therefore outlive the tape pass and must not be re-solved

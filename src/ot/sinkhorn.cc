@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "linalg/gemm.h"
 #include "linalg/ops.h"
 #include "linalg/simd.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace cerl::ot {
 namespace {
@@ -157,14 +155,6 @@ SinkhornResult SolveLogDomain(const linalg::Matrix& cost, double reg,
 
 // --- Workspace (hot-path) solver -------------------------------------------
 
-// Chunk grain for splitting `outer` loop iterations whose bodies each touch
-// `inner` elements; `parallel = false` forces the serial path of ParallelFor
-// without changing any arithmetic.
-int64_t Grain(bool parallel, int inner) {
-  if (!parallel) return std::numeric_limits<int64_t>::max();
-  return std::max<int64_t>(4, (1 << 15) / (inner + 1));
-}
-
 bool AllUsable(const Vector& x, int n) {
   for (int i = 0; i < n; ++i) {
     if (x[i] <= kUnderflow || !std::isfinite(x[i])) return false;
@@ -172,52 +162,20 @@ bool AllUsable(const Vector& x, int n) {
   return true;
 }
 
-// kv = K v: linalg::MatVecInto already has the row-blocked, fixed-order
-// four-accumulator kernel, so the result is independent of the split; only
-// the grain (and thus the serial toggle) is Sinkhorn-specific.
-void KernelTimesVec(const Matrix& kernel, const Vector& v, Vector* kv,
-                    bool parallel) {
-  if (!parallel) {
-    // Serial fast path: the single direct kernel call MatVecInto's
-    // grain=max ParallelFor would make (same kernel, same arguments, same
-    // bits), without the per-iteration dispatch overhead — measurable at
-    // the tiny per-stream problem sizes this loop runs ~60 times per
-    // solve. kv is pre-sized by Reserve.
-    linalg::simd::Kernels().mat_vec(kernel.row(0), kernel.cols(), v.data(),
-                                    kernel.rows(), kernel.cols(), kv->data());
-    return;
-  }
-  linalg::MatVecInto(kernel, v, kv, Grain(parallel, kernel.cols()));
+// kv = K v in one dispatched mat_vec call. kv is pre-sized by Reserve.
+void KernelTimesVec(const Matrix& kernel, const Vector& v, Vector* kv) {
+  linalg::simd::Kernels().mat_vec(kernel.row(0), kernel.cols(), v.data(),
+                                  kernel.rows(), kernel.cols(), kv->data());
 }
 
-// ktu = K^T u, split over column blocks: each worker walks all rows but
-// accumulates only its own contiguous column slice, so the inner loop stays
-// unit-stride and every ktu[j] is summed in row order regardless of the
-// split (no transpose, no atomics).
+// ktu = K^T u without a transpose: mat_tvec_accum walks the rows and sums
+// every ktu[j] in row order, unit-stride in the inner loop. ktu is pre-sized
+// by Reserve.
 void KernelTransposeTimesVec(const Matrix& kernel, const Vector& u,
-                             Vector* ktu, bool parallel) {
-  const int n1 = kernel.rows();
-  const double* ud = u.data();
-  double* out = ktu->data();
-  // mat_tvec_accum is a plain-elementwise kernel (bitwise identical across
-  // tables, range splits, and row blocking).
-  const auto& ks = linalg::simd::Kernels();
-  if (!parallel) {
-    // Serial fast path: identical to the grain=max ParallelFor below
-    // covering the full column range, minus the dispatch overhead.
-    ks.mat_tvec_accum(kernel.row(0), kernel.cols(), ud, n1, kernel.cols(),
-                      out);
-    return;
-  }
-  ParallelFor(
-      0, kernel.cols(),
-      [&](int64_t lo, int64_t hi) {
-        const int j0 = static_cast<int>(lo);
-        const int j1 = static_cast<int>(hi);
-        ks.mat_tvec_accum(kernel.row(0) + j0, kernel.cols(), ud, n1, j1 - j0,
-                          out + j0);
-      },
-      Grain(parallel, n1));
+                             Vector* ktu) {
+  linalg::simd::Kernels().mat_tvec_accum(kernel.row(0), kernel.cols(),
+                                         u.data(), kernel.rows(),
+                                         kernel.cols(), ktu->data());
 }
 
 enum class ScalingOutcome { kConverged, kNotConverged, kDegenerate };
@@ -249,7 +207,7 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
   const int n2 = kernel.cols();
   int iter = 0;
   for (; iter < config.max_iterations; ++iter) {
-    KernelTimesVec(kernel, *v, kv, config.parallel);
+    KernelTimesVec(kernel, *v, kv);
     if (!AllUsable(*kv, n1)) {
       *iterations = iter;
       return ScalingOutcome::kDegenerate;
@@ -270,7 +228,7 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
           *iterations = iter;
           return ScalingOutcome::kConverged;
         }
-        KernelTransposeTimesVec(kernel, *u, ktu, config.parallel);
+        KernelTransposeTimesVec(kernel, *u, ktu);
         if (AllUsable(*ktu, n2) &&
             ColViolation(*v, *ktu, n2, b) < config.tolerance) {
           *iterations = iter;
@@ -282,7 +240,7 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
     // loop.
     linalg::simd::Kernels().vec_div_scalar(a, kv->data(), u->data(), n1);
     have_u = true;
-    KernelTransposeTimesVec(kernel, *u, ktu, config.parallel);
+    KernelTransposeTimesVec(kernel, *u, ktu);
     if (!AllUsable(*ktu, n2)) {
       *iterations = iter;
       return ScalingOutcome::kDegenerate;
@@ -292,7 +250,7 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
   *iterations = iter;
   // The pair from the final iteration was never checked; measure it so the
   // caller can tell "slow but essentially converged" from "stuck".
-  KernelTimesVec(kernel, *v, kv, config.parallel);
+  KernelTimesVec(kernel, *v, kv);
   if (!AllUsable(*kv, n1)) return ScalingOutcome::kDegenerate;
   *final_violation = RowViolation(*u, *kv, n1, a);
   if (*final_violation < config.tolerance) return ScalingOutcome::kConverged;
@@ -300,45 +258,35 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
 }
 
 // plan = diag(u) K diag(v); returns <plan, cost> (NaN propagates to the
-// caller's finiteness check). Row partial costs land in `row_scratch` and
-// are summed serially in row order, so the total is split-independent.
+// caller's finiteness check).
 double AssemblePlanCost(const Matrix& cost, const Matrix& kernel,
-                        const Vector& u, const Vector& v, bool parallel,
-                        Matrix* plan, Vector* row_scratch) {
+                        const Vector& u, const Vector& v, Matrix* plan) {
   const int n1 = cost.rows();
   const int n2 = cost.cols();
   const double* vd = v.data();
-  double* scratch = row_scratch->data();
-  ParallelFor(
-      0, n1,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int row = static_cast<int>(i);
-          const double ui = u[row];
-          const double* krow = kernel.row(row);
-          const double* crow = cost.row(row);
-          double* prow = plan->row(row);
-          double s0 = 0.0, s1 = 0.0;
-          int j = 0;
-          for (; j + 2 <= n2; j += 2) {
-            const double p0 = ui * krow[j] * vd[j];
-            const double p1 = ui * krow[j + 1] * vd[j + 1];
-            prow[j] = p0;
-            prow[j + 1] = p1;
-            s0 += p0 * crow[j];
-            s1 += p1 * crow[j + 1];
-          }
-          for (; j < n2; ++j) {
-            const double p = ui * krow[j] * vd[j];
-            prow[j] = p;
-            s0 += p * crow[j];
-          }
-          scratch[i] = s0 + s1;
-        }
-      },
-      Grain(parallel, n2));
   double total = 0.0;
-  for (int i = 0; i < n1; ++i) total += scratch[i];
+  for (int i = 0; i < n1; ++i) {
+    const double ui = u[i];
+    const double* krow = kernel.row(i);
+    const double* crow = cost.row(i);
+    double* prow = plan->row(i);
+    double s0 = 0.0, s1 = 0.0;
+    int j = 0;
+    for (; j + 2 <= n2; j += 2) {
+      const double p0 = ui * krow[j] * vd[j];
+      const double p1 = ui * krow[j + 1] * vd[j + 1];
+      prow[j] = p0;
+      prow[j + 1] = p1;
+      s0 += p0 * crow[j];
+      s1 += p1 * crow[j + 1];
+    }
+    for (; j < n2; ++j) {
+      const double p = ui * krow[j] * vd[j];
+      prow[j] = p;
+      s0 += p * crow[j];
+    }
+    total += s0 + s1;
+  }
   return total;
 }
 
@@ -369,12 +317,11 @@ void SinkhornWorkspace::Reserve(int n1, int n2) {
   kernel_.Resize(n1, n2);
   plan_.Resize(n1, n2);
   if (n1 > row_high_water_) {
-    allocations_ += 3;  // u_ + kv_ + row_scratch_
+    allocations_ += 2;  // u_ + kv_
     row_high_water_ = n1;
   }
   u_.resize(n1);
   kv_.resize(n1);
-  row_scratch_.resize(n1);
   if (n2 > col_high_water_) {
     allocations_ += 2;  // v_ + ktu_
     col_high_water_ = n2;
@@ -384,7 +331,7 @@ void SinkhornWorkspace::Reserve(int n1, int n2) {
 }
 
 Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
-                                        const SinkhornConfig& base_config,
+                                        const SinkhornConfig& config,
                                         SinkhornWorkspace* workspace) {
   CERL_CHECK(workspace != nullptr);
   const int n1 = cost.rows();
@@ -397,41 +344,21 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
   if (CERL_FAULT_POINT(FaultPoint::kSinkhornDiverge)) {
     return Status::NumericalError("injected sinkhorn non-convergence");
   }
-  if (base_config.warm_start && base_config.adaptive_warm_start) {
+  if (config.warm_start && config.adaptive_warm_start) {
     workspace->AdaptWarmStart(n1, n2);
   }
 
   SinkhornWorkspace& ws = *workspace;
   ws.Reserve(n1, n2);
 
-  // Small solves stay on the calling thread (see SinkhornConfig::
-  // min_parallel_elements): bit-identical by construction, and under
-  // multi-stream ingest it batches one solve per stream worker instead of
-  // splitting every tiny kernel across the shared pool.
-  SinkhornConfig config = base_config;
-  config.parallel =
-      base_config.parallel &&
-      static_cast<int64_t>(n1) * n2 >= base_config.min_parallel_elements;
-
-  // Scale-free regularization from the mean cost. Row sums are computed in
-  // fixed order (possibly in parallel) and combined serially, so reg does
-  // not depend on the split.
-  {
-    double* scratch = ws.row_scratch_.data();
-    ParallelFor(
-        0, n1,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            const double* crow = cost.row(static_cast<int>(i));
-            double s = 0.0;
-            for (int j = 0; j < n2; ++j) s += crow[j];
-            scratch[i] = s;
-          }
-        },
-        Grain(config.parallel, n2));
-  }
+  // Scale-free regularization from the mean cost, summed row by row.
   double mean_cost = 0.0;
-  for (int i = 0; i < n1; ++i) mean_cost += ws.row_scratch_[i];
+  for (int i = 0; i < n1; ++i) {
+    const double* crow = cost.row(i);
+    double s = 0.0;
+    for (int j = 0; j < n2; ++j) s += crow[j];
+    mean_cost += s;
+  }
   mean_cost /= static_cast<double>(n1) * n2;
   const double reg =
       std::max(1e-12, config.reg_fraction * std::max(mean_cost, 1e-12));
@@ -439,17 +366,12 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
 
   // Gibbs kernel K = exp(-C / reg), row-blocked with the vectorized batch
   // exp (the biggest single cost of a cold solve).
-  ParallelFor(
-      0, n1,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const double* crow = cost.row(static_cast<int>(i));
-          double* krow = ws.kernel_.row(static_cast<int>(i));
-          for (int j = 0; j < n2; ++j) krow[j] = crow[j] * neg_inv_reg;
-          linalg::VecExp(krow, krow, n2);
-        }
-      },
-      Grain(config.parallel, n2));
+  for (int i = 0; i < n1; ++i) {
+    const double* crow = cost.row(i);
+    double* krow = ws.kernel_.row(i);
+    for (int j = 0; j < n2; ++j) krow[j] = crow[j] * neg_inv_reg;
+    linalg::VecExp(krow, krow, n2);
+  }
 
   const double a = 1.0 / n1;
   const double b = 1.0 / n2;
@@ -481,8 +403,7 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
       continue;
     }
     const double total =
-        AssemblePlanCost(cost, ws.kernel_, ws.u_, ws.v_, config.parallel,
-                         &ws.plan_, &ws.row_scratch_);
+        AssemblePlanCost(cost, ws.kernel_, ws.u_, ws.v_, &ws.plan_);
     if (std::isfinite(total)) {
       info.cost = total;
       info.iterations = iterations;

@@ -13,8 +13,7 @@
 //    SinkhornWorkspace (the same arena pattern autodiff::Tape uses), so
 //    steady-state solves allocate nothing, the duals are warm-started from
 //    the previous solve of the same shape, and the K·v / Kᵀ·u products and
-//    Gibbs-kernel exp are blocked and split across the global thread pool
-//    with a deterministic reduction order.
+//    Gibbs-kernel exp run on the dispatched SIMD kernels.
 #pragma once
 
 #include <cstdint>
@@ -46,20 +45,6 @@ struct SinkhornConfig {
   /// The adapted start is deterministic; a degenerate adapted start costs
   /// one retry, exactly like a degenerate exact-shape warm start.
   bool adaptive_warm_start = true;
-  /// Workspace solves only: split the kernel build, K·v / Kᵀ·u products and
-  /// plan assembly across the global thread pool. Each output element is
-  /// reduced in a fixed order regardless of the split, so results are
-  /// bit-identical to `parallel = false` (asserted by tests).
-  bool parallel = true;
-  /// Workspace solves only: problems with fewer than this many cost entries
-  /// (n1 * n2) run serially on the calling thread even when `parallel` is
-  /// true. Splitting a tiny kernel across the whole pool costs more in
-  /// submit/wake latency than it saves — and under the stream engine many
-  /// small per-stream solves run concurrently, one per stream worker, where
-  /// pool fan-out from every solve would just thrash the queue (ROADMAP
-  /// "Sinkhorn on the pool for multi-domain ingest"). Parallel and serial
-  /// kernels are bit-identical, so the threshold never changes results.
-  int64_t min_parallel_elements = 4096;
 };
 
 /// Solution: the transport plan and the resulting OT cost <plan, cost>.
@@ -142,7 +127,7 @@ class SinkhornWorkspace {
   linalg::Matrix kernel_;  ///< exp(-C / reg)
   linalg::Matrix plan_;    ///< diag(u) K diag(v)
   linalg::Vector u_, v_;   ///< scaling duals (retained => warm start)
-  linalg::Vector kv_, ktu_, row_scratch_;
+  linalg::Vector kv_, ktu_;
   int warm_rows_ = -1, warm_cols_ = -1;
   int64_t allocations_ = 0;
   int64_t mat_high_water_ = 0;

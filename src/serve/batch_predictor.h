@@ -13,8 +13,7 @@
 // boundaries a full-batch Gemm would use: every output row is produced by
 // the same microkernel call shape in the same accumulation order, which is
 // what makes the blocked batched forward BITWISE equal to the trainer's
-// single full-batch tape forward (and keeps each per-block Gemm under the
-// serial-dispatch flops threshold — no thread-pool hop on the query path).
+// single full-batch tape forward.
 //
 // One predictor per reader thread (it owns mutable scratch); the snapshot
 // is shared and immutable, so any number of predictors evaluate the same

@@ -222,9 +222,12 @@ void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WritePod(out, static_cast<int32_t>(c.train.sinkhorn.max_iterations));
   WritePod(out, c.train.sinkhorn.tolerance);
   WritePod(out, static_cast<uint8_t>(c.train.sinkhorn.warm_start ? 1 : 0));
-  WritePod(out, static_cast<uint8_t>(c.train.sinkhorn.parallel ? 1 : 0));
-  WritePod(out,
-           static_cast<int64_t>(c.train.sinkhorn.min_parallel_elements));
+  // Reserved fields, formerly SinkhornConfig::parallel (u8) and
+  // min_parallel_elements (i64): written as the old defaults 1 and 4096 so
+  // older builds read today's behaviour; read as a 0/1 flag and an i64 and
+  // ignored.
+  WritePod(out, static_cast<uint8_t>(1));
+  WritePod(out, static_cast<int64_t>(4096));
   WritePod(out, static_cast<uint64_t>(c.train.seed));
   WritePod(out, static_cast<uint8_t>(c.train.verbose ? 1 : 0));
   // Reserved byte, formerly async_validation: written 0, read as a 0/1
@@ -283,10 +286,11 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->train.sinkhorn.tolerance, "tolerance"));
   CERL_RETURN_IF_ERROR(
       ReadBool(r, &c->train.sinkhorn.warm_start, "warm_start"));
-  CERL_RETURN_IF_ERROR(ReadBool(r, &c->train.sinkhorn.parallel, "parallel"));
-  int64_t i64 = 0;
-  CERL_RETURN_IF_ERROR(r->ReadPod(&i64, "min_parallel_elements"));
-  c->train.sinkhorn.min_parallel_elements = i64;
+  // Reserved: formerly parallel and min_parallel_elements; ignored.
+  bool reserved_flag = false;
+  CERL_RETURN_IF_ERROR(ReadBool(r, &reserved_flag, "reserved sinkhorn flag"));
+  int64_t reserved_i64 = 0;
+  CERL_RETURN_IF_ERROR(r->ReadPod(&reserved_i64, "reserved sinkhorn i64"));
   uint64_t seed = 0;
   CERL_RETURN_IF_ERROR(r->ReadPod(&seed, "seed"));
   c->train.seed = seed;

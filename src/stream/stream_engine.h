@@ -79,8 +79,8 @@ enum class SchedulePolicy : uint8_t {
 };
 
 struct StreamEngineOptions {
-  /// Stream workers (the pool running stage tasks; compute kernels inside a
-  /// stage fan out to the global pool as usual). 0 = hardware concurrency.
+  /// Stream workers (the pool running stage tasks; the compute kernels of a
+  /// stage run inline on that stage's worker). 0 = hardware concurrency.
   int num_workers = 0;
   /// Ready-work ordering across streams. Runtime scheduling choice, not
   /// durable state (snapshots neither save nor restore it).
@@ -393,12 +393,12 @@ class StreamEngine {
   /// dispatch, waits for every stream's in-flight domain pipeline to reach
   /// its domain boundary (workers stay up; queued domains stay queued; a
   /// domain mid-retry resolves — succeeds or drops — before the fence),
-  /// writes a CERLENG3 container — engine options, per-stream name / config
+  /// writes a CERLENG4 container — engine options, per-stream name / config
   /// / completed-domain counter / health state (health, consecutive
   /// failures, dropped-domain total), learned stage cost rates, each
   /// stream's embedded CERLCKP1 trainer blob, and a replay journal of the
-  /// still-queued domains so pushed work is never lost — then resumes
-  /// dispatch. The write is
+  /// still-queued domains so pushed work is never lost (elided when the WAL
+  /// already holds them) — then resumes dispatch. The write is
   /// crash-safe (temp file + fsync + atomic rename), carries a checksum,
   /// and transient IO failures are retried with bounded exponential
   /// backoff (options.snapshot_io_retries). Concurrent PushDomain is safe:
@@ -412,10 +412,11 @@ class StreamEngine {
   /// re-enqueues the journaled domains in their original order (training
   /// resumes immediately on the engine's workers; a quarantined stream's
   /// journal drains through the pipeline as kUnavailable drops, exactly as
-  /// it would have in the saved engine). Reads CERLENG3 plus the older
-  /// CERLENG2 (predates the cost-model block: streams restore with cold
-  /// cost models and re-learn rates within a few stages) and CERLENG1
-  /// (also predates health state: streams restore as healthy).
+  /// it would have in the saved engine). Reads CERLENG4 plus the older
+  /// CERLENG3 (journal always inline, checksum over every byte), CERLENG2
+  /// (also predates the cost-model block: streams restore with cold cost
+  /// models and re-learn rates within a few stages) and CERLENG1 (also
+  /// predates health state: streams restore as healthy).
   /// Worker count stays as THIS engine was constructed — it is a runtime
   /// scheduling choice, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient

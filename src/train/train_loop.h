@@ -19,7 +19,7 @@
 // (no per-step index vector). When the caller registers gather sources,
 // the loop gathers each batch's rows into one reused buffer before the
 // batch's forward/backward. The loop creates no thread: the gathers and
-// the step's kernels fan out to the global pool.
+// the step's kernels run on the calling thread.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // Executor — the minimal scheduling interface TaskGroup (and anything else
-// that submits deferred work) programs against, so per-stream strands can
-// ride either the plain FIFO ThreadPool or the cost-aware WorkStealingPool
-// without knowing which.
+// that submits deferred work) programs against. WorkStealingPool (scheduler.h)
+// implements it, in FIFO or cost-aware mode.
 //
 // ExecOptions is advisory scheduling metadata, not a contract: a FIFO
 // executor is free to ignore it entirely. Under the cost-aware scheduler it

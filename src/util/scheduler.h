@@ -1,7 +1,7 @@
 // Cost-aware work-stealing pool — the scheduling substrate behind the
 // stream engine's dispatch (ROADMAP: "break the round-robin wall").
 //
-// The plain ThreadPool serves tasks strictly FIFO, which round-robins the
+// A plain FIFO queue (cost_aware = false) round-robins the
 // per-stream strands: with workers < streams, a light tenant's microsecond
 // stage waits a full cycle of every other ready stream's (possibly huge)
 // stage, and a backlogged tenant's queue drains one stage per cycle — tail
@@ -40,7 +40,7 @@
 // Locking: one pool mutex guards every queue. Tasks here are coarse
 // (trainer stages, milliseconds); the lock hold is a heap operation plus an
 // O(workers) scan, tens of nanoseconds — contention is not a design
-// constraint the way it is for the fine-grained kernel pool.
+// constraint.
 #pragma once
 
 #include <chrono>

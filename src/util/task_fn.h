@@ -5,8 +5,8 @@
 // COPYABLE (ruling out captures holding unique_ptr or other move-only
 // resources), and typical stage closures landed on the heap once their
 // captures outgrew libstdc++'s tiny inline buffer (16 bytes). TaskFn erases
-// with a 56-byte inline arena instead — every closure the stream engine and
-// ParallelFor submit fits without allocating — and keeps a process-wide
+// with a 56-byte inline arena instead — every closure the stream engine
+// submits fits without allocating — and keeps a process-wide
 // counter of the (rare) heap fallbacks so tests can pin "steady-state
 // scheduling allocates nothing" the same way Tape::arena_allocations pins
 // the training step (see task_group_test).
@@ -25,9 +25,9 @@ namespace cerl {
 class TaskFn {
  public:
   /// Inline capture budget: one cache line minus the vtable pointer. Chosen
-  /// so the engine's stage closures (a handful of pointers and flags) and
-  /// ParallelFor's range closures stay inline; larger captures still work,
-  /// they just heap-allocate (and count).
+  /// so the engine's stage closures (a handful of pointers and flags) stay
+  /// inline; larger captures still work, they just heap-allocate (and
+  /// count).
   static constexpr size_t kInlineBytes = 56;
 
   TaskFn() = default;

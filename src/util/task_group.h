@@ -6,25 +6,21 @@
 // interleave freely across the executor's workers. This is the primitive the
 // stream engine uses to serialize the per-stream stage pipeline
 // (ingest -> train -> migrate) without one stream's work blocking another:
-// unlike ThreadPool::Wait — which fences the whole pool — TaskGroup::Wait
-// only drains this group.
+// TaskGroup::Wait drains only this group, not the whole executor.
 //
 // The group never occupies a worker while idle: a pump task is scheduled on
 // the executor only while the group has pending work, and it re-submits
 // itself after each task so long-queued groups share workers fairly with
 // other groups (and other executor users) instead of holding a worker until
-// drained. HOW the ready pumps are ordered is the executor's policy: on the
-// FIFO ThreadPool groups round-robin; on the cost-aware WorkStealingPool
+// drained. HOW the ready pumps are ordered is the executor's policy: on a
+// FIFO WorkStealingPool groups round-robin; on the cost-aware one
 // the pump carries the group's ExecOptions (priority = the stream's
 // expected pending work, home = its preferred worker), refreshed via
 // SetExecOptions before each pump submission — the hook the stream engine's
 // longest-expected-queue-first dispatch is built on.
 //
-// Blocking inside a group task follows the same rule as any pool task:
-// tasks that block on the pool they run on (ParallelFor on the same pool,
-// ThreadPool::Wait) can deadlock once every worker is blocked. Run groups
-// whose tasks fan work out to the global pool on a dedicated pool (the
-// stream engine owns one).
+// A group task must not block on work queued to the executor it runs on
+// (another group's Wait, say): once every worker blocks, nothing runs.
 #pragma once
 
 #include <condition_variable>

@@ -226,10 +226,9 @@ TEST(AdamKernelTest, Avx2MatchesScalarWithinTolerance) {
   }
 }
 
-// Split invariance: ParallelFor's chunk boundaries depend on the worker
-// count, so optim.cc's correctness across machines requires that updating
-// [0, n) in one call is bitwise identical to updating it in two chunks at
-// ANY split point — including splits that land mid-vector-width.
+// Split invariance (the simd.h adam_update contract): updating [0, n) in
+// one call is bitwise identical to updating it in two chunks at ANY split
+// point — including splits that land mid-vector-width.
 TEST(AdamKernelTest, RangeSplitInvariant) {
   Rng rng(29);
   const int n = 37;
@@ -481,7 +480,7 @@ TEST(MatVecKernelTest, Avx2MatchesScalarWithinRelativeTolerance) {
 
 // mat_tvec_accum uses correctly-rounded fma with r strictly ascending in
 // both tables: bitwise cross-table, bitwise equal to the reference loop,
-// and independent of column-range splits (the Sinkhorn K^T u ParallelFor).
+// and independent of column-range splits.
 TEST(MatTVecAccumKernelTest, CrossTableReferenceAndColumnSplitExact) {
   Rng rng(61);
   for (int rows : {1, 2, 3, 4, 5, 9, 21}) {

@@ -1,7 +1,7 @@
 // Tests for the SinkhornWorkspace hot path: agreement with the reference
 // solver, warm-start equivalence and iteration savings, zero-allocation
-// steady state, parallel-vs-serial bit compatibility, the log-domain
-// fallback, and the workspace-threaded Wasserstein penalty.
+// steady state, the log-domain fallback, and the workspace-threaded
+// Wasserstein penalty.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -209,40 +209,6 @@ TEST(SinkhornWorkspaceTest, AdaptedWarmStartMatchesReferenceSolution) {
   }
 }
 
-TEST(SinkhornWorkspaceTest, ParallelAndSerialAreBitIdentical) {
-  Rng rng(6);
-  Matrix a = RandomMatrix(&rng, 33, 7);
-  Matrix b = RandomMatrix(&rng, 21, 7, 0.6);
-  Matrix cost = CostOf(a, b);
-
-  SinkhornConfig parallel_config;
-  parallel_config.parallel = true;
-  // The 33x21 problem is below the small-solve serial threshold; force the
-  // genuinely parallel kernels so this test keeps comparing them.
-  parallel_config.min_parallel_elements = 0;
-  SinkhornConfig serial_config;
-  serial_config.parallel = false;
-
-  SinkhornWorkspace ws_par, ws_ser;
-  auto par = SolveSinkhorn(cost, parallel_config, &ws_par);
-  auto ser = SolveSinkhorn(cost, serial_config, &ws_ser);
-  ASSERT_TRUE(par.ok());
-  ASSERT_TRUE(ser.ok());
-  EXPECT_EQ(par.value().cost, ser.value().cost);
-  EXPECT_EQ(par.value().iterations, ser.value().iterations);
-  EXPECT_EQ(Matrix::MaxAbsDiff(ws_par.plan(), ws_ser.plan()), 0.0);
-
-  // Still bit-identical on a warm-started follow-up solve.
-  Drift(&rng, &a, 1e-3);
-  cost = CostOf(a, b);
-  par = SolveSinkhorn(cost, parallel_config, &ws_par);
-  ser = SolveSinkhorn(cost, serial_config, &ws_ser);
-  ASSERT_TRUE(par.ok());
-  ASSERT_TRUE(ser.ok());
-  EXPECT_EQ(par.value().cost, ser.value().cost);
-  EXPECT_EQ(Matrix::MaxAbsDiff(ws_par.plan(), ws_ser.plan()), 0.0);
-}
-
 TEST(SinkhornWorkspaceTest, LogDomainFallbackAndWarmStartDrop) {
   Rng rng(7);
   Matrix a = RandomMatrix(&rng, 15, 3);
@@ -263,26 +229,6 @@ TEST(SinkhornWorkspaceTest, LogDomainFallbackAndWarmStartDrop) {
   auto next = SolveSinkhorn(CostOf(a, b), config, &ws);
   ASSERT_TRUE(next.ok());
   EXPECT_FALSE(next.value().warm_started);
-}
-
-TEST(SinkhornWorkspaceTest, SerialThresholdDoesNotChangeResults) {
-  Rng rng(11);
-  Matrix a = RandomMatrix(&rng, 18, 5);
-  Matrix b = RandomMatrix(&rng, 14, 5, 0.5);
-  Matrix cost = CostOf(a, b);
-
-  SinkhornConfig thresholded;  // 18*14 << default min_parallel_elements
-  SinkhornConfig forced_parallel;
-  forced_parallel.min_parallel_elements = 0;
-
-  SinkhornWorkspace ws_thr, ws_par;
-  auto thr = SolveSinkhorn(cost, thresholded, &ws_thr);
-  auto par = SolveSinkhorn(cost, forced_parallel, &ws_par);
-  ASSERT_TRUE(thr.ok());
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(thr.value().cost, par.value().cost);
-  EXPECT_EQ(thr.value().iterations, par.value().iterations);
-  EXPECT_EQ(Matrix::MaxAbsDiff(ws_thr.plan(), ws_par.plan()), 0.0);
 }
 
 // The pool's reason to exist: on a stream of heterogeneous treated/control

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -378,6 +380,46 @@ TEST(StreamEngineTest, RepeatedBadDomainsQuarantineAndPushGetsTypedReject) {
   EXPECT_EQ(engine.health(good_id), StreamHealth::kHealthy);
   ASSERT_EQ(engine.results(good_id).size(), 1u);
   EXPECT_TRUE(engine.results(good_id)[0].status.ok());
+}
+
+
+// Threads alive in this process: the `Threads:` line of /proc/self/status
+// (-1 where procfs is unavailable).
+int LiveThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// Every kernel of a stage runs inline on the stage's stream worker, so the
+// engine's workers are the only threads training starts. The domain is large
+// enough (1000 units, {32} net) that herding, gathers and the training
+// kernels all see their biggest inputs. ctest also runs this test alone in a
+// fresh process (stream_engine_threads_test), where no earlier test has
+// started a thread.
+TEST(StreamEngineThreadTest, TrainingStartsOnlyTheStreamWorkers) {
+  const int before = LiveThreadCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status not available";
+
+  CerlConfig config = FastConfig(91);
+  config.net.rep_hidden = {32};
+  config.train.epochs = 2;
+  Rng rng(92);
+  const DataSplit split =
+      data::SplitDataset(ShiftedToy(&rng, 1000, 0.0), &rng);
+
+  StreamEngineOptions options;
+  options.num_workers = 2;
+  StreamEngine engine(options);
+  const int id = engine.AddStream("threads", config, kFeatures);
+  ASSERT_TRUE(engine.PushDomain(id, split).ok());
+  engine.Drain();
+  ASSERT_EQ(engine.results(id).size(), 1u);
+  EXPECT_TRUE(engine.results(id)[0].status.ok());
+  EXPECT_EQ(LiveThreadCount(), before + 2);
 }
 
 }  // namespace

@@ -9,14 +9,14 @@
 #include <mutex>
 #include <vector>
 
+#include "util/scheduler.h"
 #include "util/task_group.h"
-#include "util/thread_pool.h"
 
 namespace cerl {
 namespace {
 
 TEST(TaskGroupTest, RunsTasksInSubmissionOrderExactlyOnce) {
-  ThreadPool pool(4);
+  WorkStealingPool pool({4, /*cost_aware=*/false});
   TaskGroup group(&pool);
   std::vector<int> order;  // written only by group tasks => serialized
   const int kTasks = 500;
@@ -31,7 +31,7 @@ TEST(TaskGroupTest, RunsTasksInSubmissionOrderExactlyOnce) {
 }
 
 TEST(TaskGroupTest, TasksOfOneGroupNeverOverlap) {
-  ThreadPool pool(4);
+  WorkStealingPool pool({4, /*cost_aware=*/false});
   TaskGroup group(&pool);
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
@@ -53,7 +53,7 @@ TEST(TaskGroupTest, GroupsDoNotBlockEachOther) {
   // serialized against each other (pool-global fencing), this would
   // deadlock; with per-group serialization B's task runs on another worker
   // and releases A.
-  ThreadPool pool(2);
+  WorkStealingPool pool({2, /*cost_aware=*/false});
   TaskGroup a(&pool), b(&pool);
   std::mutex mutex;
   std::condition_variable cv;
@@ -77,7 +77,7 @@ TEST(TaskGroupTest, GroupsDoNotBlockEachOther) {
 }
 
 TEST(TaskGroupTest, WaitScopedToOwnGroup) {
-  ThreadPool pool(2);
+  WorkStealingPool pool({2, /*cost_aware=*/false});
   TaskGroup slow(&pool), fast(&pool);
   std::mutex mutex;
   std::condition_variable cv;
@@ -103,7 +103,7 @@ TEST(TaskGroupTest, WaitScopedToOwnGroup) {
 }
 
 TEST(TaskGroupTest, SubmitAfterDrainRestartsPump) {
-  ThreadPool pool(2);
+  WorkStealingPool pool({2, /*cost_aware=*/false});
   TaskGroup group(&pool);
   int runs = 0;
   group.Submit([&] { ++runs; });
@@ -118,7 +118,7 @@ TEST(TaskGroupTest, SubmitAfterDrainRestartsPump) {
 TEST(TaskGroupTest, FencedSubmitSeesPriorTasksEffects) {
   // Each task reads the value the previous task wrote (no atomics): the
   // group's serialization must carry the happens-before edge.
-  ThreadPool pool(4);
+  WorkStealingPool pool({4, /*cost_aware=*/false});
   TaskGroup group(&pool);
   long long value = 0;
   const int kTasks = 300;
@@ -136,7 +136,7 @@ TEST(TaskGroupTest, SmallTasksNeverTouchTheHeap) {
   // must stay allocation-free for small closures: TaskFn's inline storage
   // holds them, and the pump lambda is a single captured pointer. A heap
   // allocation per stage task would put malloc on every scheduler decision.
-  ThreadPool pool(2);
+  WorkStealingPool pool({2, /*cost_aware=*/false});
   TaskGroup group(&pool);
   std::atomic<int> runs{0};
   group.Submit([&runs] { runs.fetch_add(1); });
@@ -164,7 +164,7 @@ TEST(TaskGroupTest, SmallTasksNeverTouchTheHeap) {
 }
 
 TEST(TaskGroupTest, DestructorDrains) {
-  ThreadPool pool(2);
+  WorkStealingPool pool({2, /*cost_aware=*/false});
   std::atomic<int> runs{0};
   {
     TaskGroup group(&pool);

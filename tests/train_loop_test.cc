@@ -13,7 +13,6 @@
 #include "autodiff/composite.h"
 #include "autodiff/ops.h"
 #include "train/train_loop.h"
-#include "util/thread_pool.h"
 
 namespace cerl::train {
 namespace {
@@ -196,10 +195,9 @@ int LiveThreadCount() {
   return -1;
 }
 
-// A training stage runs on its caller's thread and fans its kernels out to
-// the global pool: Run() must not start a thread of its own.
+// A training stage and its kernels run on the caller's thread: Run() must
+// not start a thread of its own.
 TEST(TrainLoopAssemblyTest, RunCreatesNoThread) {
-  ThreadPool::Global();  // the pool's workers start in its constructor
   const int before = LiveThreadCount();
   if (before < 0) GTEST_SKIP() << "/proc/self/status not available";
 

@@ -1,5 +1,5 @@
 // Tests for the util layer: Status/Result, RNG determinism and moments,
-// scalar distributions, alias sampling, thread pool, CSV, flags.
+// scalar distributions, alias sampling, CSV, flags.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include "util/keyed_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace cerl {
 namespace {
@@ -451,20 +450,6 @@ TEST(DistributionsTest, SampleWithoutReplacementDistinct) {
   std::sort(idx.begin(), idx.end());
   EXPECT_EQ(std::unique(idx.begin(), idx.end()), idx.end());
   for (int i : idx) EXPECT_TRUE(i >= 0 && i < 50);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(0, 1000, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  }, /*grain=*/64);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, EmptyRangeIsNoop) {
-  bool called = false;
-  ParallelFor(5, 5, [&](int64_t, int64_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(KeyedLruPoolTest, ReturnsSameInstancePerKey) {
