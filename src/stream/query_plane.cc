@@ -3,8 +3,9 @@
 // the lock-free QueryEffect / QueryEffectBatch read side.
 //
 // Memory-ordering contract between the two sides:
-//   publisher:  atomic_store(&s.snapshot, snap, release);
+//   publisher:  old = atomic_exchange(&s.snapshot, snap, acq_rel);
 //               s.snapshot_version.store(snap->version, release);
+//               s.retired += old; erase retired entries with use_count 1
 //   reader:     v = s.snapshot_version.load(acquire);      // fast gate
 //               if (v != cached) atomic_load(&s.snapshot, acquire);
 // The version is stored AFTER the pointer, so a reader that observes a new
@@ -13,7 +14,10 @@
 // whose cached version still matches touch no shared_ptr control block at
 // all (the steady-state query is a relaxed-ish acquire load plus a forward
 // pass through thread-local scratch).
+// A query never frees a snapshot: a version switch only decrements a
+// refcount, and the publisher frees replaced snapshots on its worker.
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -43,9 +47,17 @@ void StreamEngine::PublishSnapshot(StreamState* s) {
   std::shared_ptr<const serve::EffectSnapshot> snap =
       serve::BuildEffectSnapshot(s->trainer, version);
   if (snap == nullptr) return;  // nothing trained yet
-  std::atomic_store_explicit(&s->snapshot, std::move(snap),
-                             std::memory_order_release);
+  std::shared_ptr<const serve::EffectSnapshot> old =
+      std::atomic_exchange_explicit(&s->snapshot, std::move(snap),
+                                    std::memory_order_acq_rel);
   s->snapshot_version.store(version, std::memory_order_release);
+  if (old != nullptr) s->retired.push_back(std::move(old));
+  // No reader can gain a new reference to a retired snapshot, so
+  // use_count() == 1 is final and the erase frees it on this worker.
+  s->retired.erase(
+      std::remove_if(s->retired.begin(), s->retired.end(),
+                     [](const auto& p) { return p.use_count() == 1; }),
+      s->retired.end());
 }
 
 QueryContext* StreamEngine::CreateQueryContext() {
@@ -60,6 +72,9 @@ Status StreamEngine::QueryEffect(QueryContext* ctx, int id, const double* x,
                                  int input_dim, double* ite,
                                  EffectQueryMeta* meta) {
   const Clock::time_point t0 = Clock::now();
+  if (ctx == nullptr || x == nullptr || ite == nullptr) {
+    return Status::InvalidArgument("QueryEffect needs a context, x and ite");
+  }
   if (id < 0 || id >= num_streams()) {
     return Status::NotFound("no stream with id " + std::to_string(id));
   }
@@ -106,6 +121,9 @@ Status StreamEngine::QueryEffectBatch(QueryContext* ctx, int id,
                                       linalg::Vector* ite,
                                       EffectQueryMeta* meta) {
   const Clock::time_point t0 = Clock::now();
+  if (ctx == nullptr || ite == nullptr) {
+    return Status::InvalidArgument("QueryEffectBatch needs a context and ite");
+  }
   if (id < 0 || id >= num_streams()) {
     return Status::NotFound("no stream with id " + std::to_string(id));
   }

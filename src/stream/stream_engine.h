@@ -346,9 +346,10 @@ class StreamEngine {
   /// ITE for one user (covariate row `x` of `input_dim` doubles) under
   /// stream `id`'s current snapshot, in original outcome units — bitwise
   /// equal to the publishing trainer's PredictIte. kNotFound for a bad id,
-  /// kInvalidArgument on a dimension mismatch, kFailedPrecondition before
-  /// the stream's first publish. Quarantined streams ANSWER (last-good
-  /// snapshot) with meta->stale set rather than erroring.
+  /// kInvalidArgument on a dimension mismatch or a null ctx/x/ite (batch:
+  /// ctx/ite), kFailedPrecondition before the stream's first publish.
+  /// Quarantined streams ANSWER (last-good snapshot) with meta->stale set
+  /// rather than erroring.
   Status QueryEffect(QueryContext* ctx, int id, const double* x,
                      int input_dim, double* ite,
                      EffectQueryMeta* meta = nullptr);

@@ -112,8 +112,8 @@ struct StreamEngine::StreamState {
 
   // --- Serving plane (stream/query_plane.cc) ---------------------------
   // The stream's published read-side model. Written only by the finish task
-  // / snapshot restore via atomic_store(release); read by query threads via
-  // atomic_load(acquire). `snapshot_version` is the lock-free fast-path
+  // / snapshot restore via atomic_exchange(acq_rel); read by query threads
+  // via atomic_load(acquire). `snapshot_version` is the lock-free fast-path
   // version gate: readers re-load the shared_ptr only when it changes
   // (publish order: snapshot first, then version, both release — a reader
   // that acquires the new version therefore sees the new snapshot).
@@ -122,6 +122,12 @@ struct StreamEngine::StreamState {
   // Mirror of `health` maintained at every transition so the query path can
   // flag quarantined-stream staleness without touching state_mutex_.
   std::atomic<uint8_t> health_mirror{0};
+  // Replaced snapshots that a QueryContext slot or an effect_snapshot()
+  // copy may still hold; PublishSnapshot frees each once it holds the last
+  // reference. Touched only by PublishSnapshot (the serialized finish task,
+  // or LoadSnapshot before the engine runs), so it needs no lock. Kept last
+  // so the offsets of the read-path fields above do not move.
+  std::vector<std::shared_ptr<const serve::EffectSnapshot>> retired;
 };
 
 // Snapshot wire codecs shared by engine_checkpoint.cc (CERLENG containers)

@@ -413,20 +413,25 @@ TEST(SchedulerEngineTest, StarvationFreedomUnderHeavySkew) {
 
 // Stages executed by thieves must be bitwise identical to home (and to a
 // fully serial run): scheduling picks WHEN a stage runs, never what it
-// computes. The skew (one worker's homes finish early) forces steals.
+// computes. Two heavy streams share worker 0 while workers 1 and 2 run out
+// of home work almost immediately, so worker 0's queue holds one heavy
+// stream's stage while it runs the other's — an idle worker steals it.
+// One heavy stream is not enough: worker 0 usually re-pops its own next
+// stage before a woken thief reaches the lock.
 TEST(SchedulerEngineTest, StolenStagesAreBitIdenticalToSerial) {
   stream::StreamEngineOptions options;
   options.num_workers = 3;
   options.schedule_policy = stream::SchedulePolicy::kCostAware;
   stream::StreamEngine engine(options);
 
-  const int kStreams = 3;  // homes 0, 1, 2 — one per worker
-  const int domains_per_stream[kStreams] = {6, 1, 1};
+  const int kStreams = 4;  // homes 0, 1, 2, 0
+  const int domains_per_stream[kStreams] = {6, 1, 1, 6};
   std::vector<std::vector<data::DataSplit>> streams(kStreams);
   for (int s = 0; s < kStreams; ++s) {
     Rng rng(40 + s);
     for (int d = 0; d < domains_per_stream[s]; ++d) {
-      streams[s].push_back(ToyDomain(&rng, s == 0 ? 250 : 40, 0.1 * d));
+      streams[s].push_back(
+          ToyDomain(&rng, domains_per_stream[s] > 1 ? 250 : 40, 0.1 * d));
     }
   }
 
@@ -442,8 +447,8 @@ TEST(SchedulerEngineTest, StolenStagesAreBitIdenticalToSerial) {
   }
   engine.Drain();
 
-  // Workers 1 and 2 run out of home work almost immediately; stream 0's
-  // remaining stages get stolen.
+  // Workers 1 and 2 run out of home work almost immediately; the heavy
+  // streams' stages queued behind worker 0 get stolen.
   EXPECT_GT(engine.steal_count(), 0);
 
   for (int s = 0; s < kStreams; ++s) {

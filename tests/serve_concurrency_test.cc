@@ -6,11 +6,16 @@
 // finite and internally consistent, observed snapshot versions are
 // monotone per reader, any newly observed snapshot passes its fingerprint
 // recomputation (no torn publish), and the bystander stream's training is
-// bitwise unaffected by the concurrent read load.
+// bitwise unaffected by the concurrent read load. Also pins snapshot
+// reclamation: a query's version switch never frees a snapshot (the
+// publishing worker does), and retired snapshots outlive only the slots
+// that pin them. Runs under ASan too, where a use-after-free or a leaked
+// snapshot at engine teardown would show.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +192,90 @@ TEST(ServeConcurrencyTest, ReadersNeverSeeTornStateDuringFaultedIngest) {
     ASSERT_EQ(got[i], expected[i]) << "unit " << i;
   }
   FaultInjector::Global().Reset();
+}
+
+// A version switch in QueryEffect drops the context's reference to the
+// replaced snapshot; the publisher, not the query thread, frees it.
+TEST(ServeConcurrencyTest, QuerySwitchNeverFreesASnapshot) {
+  const std::vector<DataSplit> domains = MakeStream(81, 3, 0.5);
+  StreamEngineOptions options;
+  options.num_workers = 1;
+  StreamEngine engine(options);
+  const int id = engine.AddStream("tenant", SmallConfig(82), kFeatures);
+  QueryContext* ctx = engine.CreateQueryContext();
+  const double* row = domains[0].test.x.row(0);
+  double ite = 0.0;
+
+  ASSERT_TRUE(engine.PushDomain(id, domains[0]).ok());
+  engine.Drain();
+  const std::weak_ptr<const serve::EffectSnapshot> v1 =
+      engine.effect_snapshot(id);
+  ASSERT_FALSE(v1.expired());
+  ASSERT_TRUE(engine.QueryEffect(ctx, id, row, kFeatures, &ite).ok());
+
+  ASSERT_TRUE(engine.PushDomain(id, domains[1]).ok());
+  engine.Drain();
+  EffectQueryMeta meta;
+  ASSERT_TRUE(engine.QueryEffect(ctx, id, row, kFeatures, &ite, &meta).ok());
+  EXPECT_EQ(meta.snapshot_version, 2u);
+  // The switch dropped the slot's reference, yet v1 is still alive: the
+  // publisher's retired list holds the last one.
+  EXPECT_FALSE(v1.expired());
+
+  // The next publish finds v1 unreferenced and frees it on the worker.
+  ASSERT_TRUE(engine.PushDomain(id, domains[2]).ok());
+  engine.Drain();
+  EXPECT_TRUE(v1.expired());
+}
+
+// Retired snapshots live exactly as long as some slot pins them: three
+// contexts pin v1, v2, v3; none expires while pinned. Once every context
+// moved on to v4, the next publish frees v1..v3 and keeps only v4, which
+// the slots still hold.
+TEST(ServeConcurrencyTest, RetiredSnapshotsAreBoundedByPinningSlots) {
+  const std::vector<DataSplit> domains = MakeStream(83, 5, 0.5);
+  StreamEngineOptions options;
+  options.num_workers = 1;
+  StreamEngine engine(options);
+  const int id = engine.AddStream("tenant", SmallConfig(84), kFeatures);
+  std::vector<QueryContext*> contexts;
+  for (int c = 0; c < 3; ++c) contexts.push_back(engine.CreateQueryContext());
+  const double* row = domains[0].test.x.row(0);
+  double ite = 0.0;
+  EffectQueryMeta meta;
+
+  std::vector<std::weak_ptr<const serve::EffectSnapshot>> versions;
+  for (int c = 0; c < 4; ++c) {
+    ASSERT_TRUE(engine.PushDomain(id, domains[c]).ok());
+    engine.Drain();
+    versions.push_back(engine.effect_snapshot(id));
+    if (c == 3) break;
+    ASSERT_TRUE(
+        engine.QueryEffect(contexts[c], id, row, kFeatures, &ite, &meta).ok());
+    EXPECT_EQ(meta.snapshot_version, static_cast<uint64_t>(c + 1));
+    // Every pinned version survives the publishes that replaced it.
+    for (int p = 0; p <= c; ++p) {
+      EXPECT_FALSE(versions[p].expired())
+          << "v" << p + 1 << " after publishing v" << c + 1;
+    }
+  }
+
+  // Every context switches to v4, dropping its pin — but the query threads
+  // free nothing; the retired list still holds v1..v3.
+  for (QueryContext* ctx : contexts) {
+    ASSERT_TRUE(engine.QueryEffect(ctx, id, row, kFeatures, &ite, &meta).ok());
+    EXPECT_EQ(meta.snapshot_version, 4u);
+  }
+  for (int p = 0; p < 3; ++p) EXPECT_FALSE(versions[p].expired());
+
+  // One more publish reclaims every version older than the slots' v4.
+  ASSERT_TRUE(engine.PushDomain(id, domains[4]).ok());
+  engine.Drain();
+  EXPECT_EQ(engine.query_stats(id).snapshot_version, 5u);
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_TRUE(versions[p].expired()) << "v" << p + 1 << " still alive";
+  }
+  EXPECT_FALSE(versions[3].expired()) << "v4 is still pinned by the slots";
 }
 
 }  // namespace

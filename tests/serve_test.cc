@@ -267,6 +267,48 @@ TEST(QueryPlaneTest, PublishOffServesNothing) {
   EXPECT_EQ(engine.query_stats(id).snapshot_version, 0u);
 }
 
+TEST(QueryPlaneTest, NullArgumentsAreInvalidArgument) {
+  StreamEngineOptions options;
+  options.num_workers = 2;
+  StreamEngine engine(options);
+  const int id = engine.AddStream("tenant", SmallConfig(55), kFeatures);
+  QueryContext* ctx = engine.CreateQueryContext();
+  const std::vector<DataSplit> domains = MakeStream(56, 1, 0.5);
+  const Matrix& x = domains[0].test.x;
+  double ite_one = 0.0;
+  Vector ite;
+
+  // Checked before anything else, so even a bad id or an unpublished
+  // stream reports the null argument.
+  EXPECT_EQ(engine.QueryEffect(nullptr, 99, x.row(0), kFeatures, &ite_one)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.QueryEffectBatch(nullptr, id, x, &ite).code(),
+            StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(engine.PushDomain(id, domains[0]).ok());
+  engine.Drain();
+  EXPECT_EQ(engine.QueryEffect(nullptr, id, x.row(0), kFeatures, &ite_one)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.QueryEffect(ctx, id, nullptr, kFeatures, &ite_one).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.QueryEffect(ctx, id, x.row(0), kFeatures, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.QueryEffectBatch(nullptr, id, x, &ite).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.QueryEffectBatch(ctx, id, x, nullptr).code(),
+            StatusCode::kInvalidArgument);
+
+  // No slot was touched: nothing answered, nothing counted as rejected.
+  StreamQueryStats stats = engine.query_stats(id);
+  EXPECT_EQ(stats.queries, 0);
+  EXPECT_EQ(stats.rejected, 0);
+  // The context still works.
+  ASSERT_TRUE(engine.QueryEffect(ctx, id, x.row(0), kFeatures, &ite_one).ok());
+  EXPECT_EQ(engine.query_stats(id).queries, 1);
+}
+
 TEST(QueryPlaneTest, QuarantinedStreamServesLastGoodSnapshotAsStale) {
   FaultInjector::Global().Reset();
   StreamEngineOptions options;
