@@ -131,13 +131,10 @@ void BM_EffectQueryBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EffectQueryBatch)->Arg(16)->Arg(256);
 
-// Ingest with snapshot publication on/off — the serving plane's entire
-// write-path cost (snapshot build + fingerprint + RCU swap per domain).
-// CI-gated as a pair at 1.05x (tools/compare_bench.py --pair), mirroring
-// the guards-on/off pair: machine-independent because both arms share one
-// run's load.
-void StreamEngineIngestServeBody(benchmark::State& state,
-                                 bool publish_snapshots) {
+// Ingest of 4 streams with the serving plane publishing an effect snapshot
+// per migrated domain (the engine always publishes). The publish cost itself
+// is timed by BM_DomainBoundaryWork in micro_substrates.cc.
+void BM_StreamEngineIngestServe(benchmark::State& state) {
   const int streams = static_cast<int>(state.range(0));
   const int kDomains = 2;
   std::vector<std::vector<data::DataSplit>> domains(streams);
@@ -149,8 +146,7 @@ void StreamEngineIngestServeBody(benchmark::State& state,
   }
   core::CerlConfig config = QueryBenchConfig(0);
 
-  stream::StreamEngineOptions options;
-  options.publish_snapshots = publish_snapshots;
+  const stream::StreamEngineOptions options;
   for (auto _ : state) {
     stream::StreamEngine engine(options);
     for (int s = 0; s < streams; ++s) {
@@ -164,19 +160,7 @@ void StreamEngineIngestServeBody(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * streams * kDomains);
 }
-
-void BM_StreamEngineIngestServe(benchmark::State& state) {
-  StreamEngineIngestServeBody(state, /*publish_snapshots=*/true);
-}
 BENCHMARK(BM_StreamEngineIngestServe)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_StreamEngineIngestNoServe(benchmark::State& state) {
-  StreamEngineIngestServeBody(state, /*publish_snapshots=*/false);
-}
-BENCHMARK(BM_StreamEngineIngestNoServe)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

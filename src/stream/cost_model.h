@@ -78,11 +78,9 @@ class StageCostModel {
   /// aggregating mean_abs_pct_error across streams.
   int64_t scored_predictions() const { return scored_predictions_; }
 
-  // --- Snapshot codec (CERLENG3 per-stream cost block) --------------------
+  // --- Snapshot codec (CERLENG4 per-stream cost block) --------------------
   // Rates/counters only; the plain EWMAs and error accumulators are
-  // transient diagnostics and restore cold. Older snapshots simply omit the
-  // block: a restored stream then starts cold and re-learns within a few
-  // stages (see README "Scheduling & SLOs").
+  // transient diagnostics and restore cold.
 
   void Serialize(std::string* out) const;
   Status Deserialize(BoundedReader* r);

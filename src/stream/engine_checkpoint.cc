@@ -8,12 +8,11 @@
 // not been consumed yet (they are current, not past-domain, data), and
 // nothing else in the container is raw covariates.
 //
-// Format CERLENG4 (writes; CERLENG1..3 still read — golden fixtures under
-// tests/testdata/ pin the old layouts):
+// Format CERLENG4, the only one written or read (the golden fixture under
+// tests/testdata/ pins it; any other magic is a load error):
 //   magic "CERLENG4",
-//   u32 num_workers, u8 reserved                  (written 1, ignored;
-//     formerly validate_on_push),
-//   u8 backlog_in_wal                              (v4: 1 = the journal is
+//   u32 num_workers, u8 reserved                  (written 1, ignored),
+//   u8 backlog_in_wal                              (1 = the journal is
 //     elided; the still-queued domains live in the WAL and Recover()
 //     replays them — see engine_storage.cc),
 //   u32 num_streams, then per stream:
@@ -21,37 +20,32 @@
 //     u32 input_dim,
 //     CerlConfig block (fixed field order, see snapfmt::WriteConfig),
 //     u32 completed_domains                        (resumes domain indices),
-//     u8 health, u32 consecutive_failures, u32 failed_domains
-//                                    (v2+ only; v1 restores as healthy/0/0),
-//     3 x { f64 rate_ms_per_unit, i64 count }      (v3+ only: the stream's
-//       learned StageCostModel rates; v1/v2 restore with COLD cost models —
-//       the scheduler re-learns rates within a few stages, so older
-//       snapshots stay fully loadable),
+//     u8 health, u32 consecutive_failures, u32 failed_domains,
+//     3 x { f64 rate_ms_per_unit, i64 count }      (the stream's learned
+//       StageCostModel rates),
 //     u8 has_trainer, [u64 blob_len, CERLCKP1 payload incl. its checksum],
 //     u32 journal_count, then per queued domain a DataSplit
 //       (train/valid/test, each: u32 rows, u32 cols, f64 x[], u8 t[],
 //        u32 n + f64 y[], u32 n + f64 mu0[], u32 n + f64 mu1[]),
 //   u64 FNV-1a checksum.
 //
-// v4 checksum scope: the trailing hash covers the container METADATA only —
+// Checksum scope: the trailing hash covers the container METADATA only —
 // the embedded CERLCKP1 blob spans are excluded. Each blob already carries
 // its own whole-payload checksum (verified by DeserializeCheckpoint), so
 // corruption anywhere is still detected; what the exclusion buys is an
 // O(dirty streams) SaveSnapshot — an unchanged tenant costs one memcpy of
 // its cached blob instead of a re-serialize plus a re-hash of megabytes of
-// parameters. v1..3 hash every byte (VerifyChecksum), and their readers
-// still do.
+// parameters.
 //
 // The last-good rollback blob is NOT a separate field: at the snapshot
 // fence every trainer sits at a domain boundary, so its serialized
 // checkpoint IS the last-good state — LoadSnapshot re-seeds each stream's
-// rollback target (and the v4 blob-reuse cache) from the embedded blob.
+// rollback target (and the blob-reuse cache) from the embedded blob.
 //
 // Every read is bounds-checked against the remaining payload before
 // allocating, and LoadSnapshot stages the entire engine (streams, trainers,
 // journal) before publishing anything — a corrupt snapshot leaves the
 // target engine with zero streams.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -69,10 +63,12 @@
 namespace cerl::stream {
 namespace {
 
-constexpr char kMagicV1[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '1'};
-constexpr char kMagicV2[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '2'};
-constexpr char kMagicV3[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '3'};
-constexpr char kMagicV4[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '4'};
+constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '4'};
+
+// SaveSnapshot retries a failed file write this many times, backing off
+// BackoffMs(kSnapshotRetryBackoffMs, retry) before each retry.
+constexpr int kSnapshotIoRetries = 3;
+constexpr int kSnapshotRetryBackoffMs = 1;
 
 // Decode-time sanity caps: generous for any real deployment, small enough
 // that a corrupted count fails fast with a descriptive error instead of an
@@ -202,7 +198,7 @@ Status ReadDataset(BoundedReader* r, data::CausalDataset* d,
 // journaled one.
 namespace snapfmt {
 
-// --- CerlConfig codec (fixed field order; the CERLENG1 magic versions it) --
+// --- CerlConfig codec (fixed field order; the container magic versions it) -
 
 void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WriteIntVector(out, c.net.rep_hidden);
@@ -341,7 +337,7 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
     reserve_bytes += s->name.size() + s->last_good.size() + 256;
   }
   out->reserve(reserve_bytes);
-  out->append(kMagicV4, sizeof(kMagicV4));
+  out->append(kMagic, sizeof(kMagic));
   WritePod(out, static_cast<uint32_t>(pool_.num_threads()));
   WritePod(out, static_cast<uint8_t>(1));  // reserved
   // With a WAL attached the journal is elided: every still-queued domain is
@@ -366,13 +362,13 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
     const uint32_t completed =
         static_cast<uint32_t>(s->pushed - static_cast<int>(s->queue.size()));
     WritePod(out, completed);
-    // Health block (v2): a restored engine must keep honoring a quarantine
+    // Health block: a restored engine must keep honoring a quarantine
     // and must resume a failure streak where it left off — otherwise a
     // restart would hand a poisoned tenant a fresh error budget.
     WritePod(out, static_cast<uint8_t>(s->health));
     WritePod(out, static_cast<uint32_t>(s->consecutive_failures));
     WritePod(out, static_cast<uint32_t>(s->failed_domains));
-    // Cost-model block (v3): the learned per-stage rates. Persisting them
+    // Cost-model block: the learned per-stage rates. Persisting them
     // means a restored backlogged engine schedules with warm estimates from
     // the first dispatch instead of re-learning under load.
     s->cost_model.Serialize(out);
@@ -393,15 +389,14 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
       blob = &fetched;
       if (info != nullptr) ++info->reused_blobs;
     } else if (s->trainer.stages_seen() > 0) {
-      if (options_.snapshot_reuse_blobs &&
-          s->last_good_stage == s->trainer.stages_seen() &&
+      if (s->last_good_stage == s->trainer.stages_seen() &&
           !s->last_good.empty()) {
         blob = &s->last_good;
         if (info != nullptr) ++info->reused_blobs;
       } else {
-        // Dirty (or caching off): serialize fresh and refresh the cache —
-        // at the fence this is a domain-boundary state, i.e. exactly the
-        // stream's last-good state.
+        // Dirty (the cache is missing or older than the trainer): serialize
+        // fresh and refresh the cache — at the fence this is a
+        // domain-boundary state, i.e. exactly the stream's last-good state.
         std::string fresh;
         CERL_RETURN_IF_ERROR(s->trainer.SerializeCheckpoint(&fresh));
         s->last_good = std::move(fresh);
@@ -499,14 +494,9 @@ Status StreamEngine::SaveSnapshot(const std::string& path,
   // exponential backoff — the payload is already immutable, so a retry can
   // never observe different engine state.
   Status written = WriteFileAtomic(path, payload);
-  for (int retry = 1; !written.ok() && retry <= options_.snapshot_io_retries;
-       ++retry) {
-    if (options_.snapshot_retry_backoff_ms > 0) {
-      const int shift = std::min(retry - 1, 6);
-      const int ms =
-          std::min(100, options_.snapshot_retry_backoff_ms << shift);
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    }
+  for (int retry = 1; !written.ok() && retry <= kSnapshotIoRetries; ++retry) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        BackoffMs(kSnapshotRetryBackoffMs, retry)));
     written = WriteFileAtomic(path, payload);
   }
   {
@@ -544,54 +534,31 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   if (!bytes.ok()) return bytes.status();
   const std::string& raw = bytes.value();
 
-  // v4 containers checksum metadata only (blob spans excluded), so the hash
-  // cannot be verified until the parse has located the spans — sniff the
-  // magic from the raw bytes to pick the verification strategy. v1..3 keep
-  // the up-front whole-payload check.
-  const bool is_v4 =
-      raw.size() >= sizeof(kMagicV4) &&
-      std::memcmp(raw.data(), kMagicV4, sizeof(kMagicV4)) == 0;
-  std::string_view payload;
-  uint64_t stored_hash = 0;
-  if (is_v4) {
-    if (raw.size() < sizeof(kMagicV4) + sizeof(uint64_t)) {
-      return Status::IoError("engine snapshot: too short to carry a checksum");
-    }
-    payload = std::string_view(raw).substr(0, raw.size() - sizeof(uint64_t));
-    std::memcpy(&stored_hash, raw.data() + payload.size(),
-                sizeof(stored_hash));
-  } else {
-    Result<std::string_view> verified =
-        VerifyChecksum(raw, "engine snapshot");
-    if (!verified.ok()) return verified.status();
-    payload = verified.value();
+  // The container checksums metadata only (blob spans excluded), so the
+  // hash is verified after the parse has located the spans.
+  if (raw.size() < sizeof(kMagic) + sizeof(uint64_t)) {
+    return Status::IoError("engine snapshot: too short to carry a checksum");
   }
+  const std::string_view payload =
+      std::string_view(raw).substr(0, raw.size() - sizeof(uint64_t));
+  uint64_t stored_hash = 0;
+  std::memcpy(&stored_hash, raw.data() + payload.size(), sizeof(stored_hash));
 
   ViewStreambuf buf(payload);
   std::istream in(&buf);
   BoundedReader r(&in, payload.size());
-  char magic[8];
+  char magic[sizeof(kMagic)];
   CERL_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
-  int version = 0;
-  if (is_v4) {
-    version = 4;
-  } else if (std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0) {
-    version = 3;
-  } else if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    version = 2;
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    version = 1;
-  } else {
-    return Status::IoError("bad engine snapshot magic");
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::IoError(
+        "bad engine snapshot magic (only CERLENG4 is readable)");
   }
   uint32_t saved_workers = 0;
   uint8_t reserved = 0;  // ignored
   CERL_RETURN_IF_ERROR(r.ReadPod(&saved_workers, "worker count"));
   CERL_RETURN_IF_ERROR(r.ReadPod(&reserved, "reserved engine flag"));
   bool backlog_in_wal = false;
-  if (version >= 4) {
-    CERL_RETURN_IF_ERROR(ReadBool(&r, &backlog_in_wal, "backlog flag"));
-  }
+  CERL_RETURN_IF_ERROR(ReadBool(&r, &backlog_in_wal, "backlog flag"));
   uint32_t num_streams = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&num_streams, "stream count"));
   if (num_streams > snapfmt::kMaxStreams) {
@@ -633,23 +600,19 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
       return Status::IoError("implausible completed-domain count " +
                              std::to_string(completed));
     }
-    // Health block: v1 snapshots predate per-stream health, so their
-    // streams restore as healthy with clean counters.
     uint8_t health = 0;
     uint32_t consecutive_failures = 0;
     uint32_t failed_domains = 0;
-    if (version >= 2) {
-      CERL_RETURN_IF_ERROR(r.ReadPod(&health, "stream health"));
-      if (health > static_cast<uint8_t>(StreamHealth::kQuarantined)) {
-        return Status::IoError("unknown stream health code " +
-                               std::to_string(health));
-      }
-      CERL_RETURN_IF_ERROR(
-          r.ReadPod(&consecutive_failures, "consecutive failures"));
-      CERL_RETURN_IF_ERROR(r.ReadPod(&failed_domains, "failed domains"));
-      if (consecutive_failures > (1u << 30) || failed_domains > (1u << 30)) {
-        return Status::IoError("implausible failure counter");
-      }
+    CERL_RETURN_IF_ERROR(r.ReadPod(&health, "stream health"));
+    if (health > static_cast<uint8_t>(StreamHealth::kQuarantined)) {
+      return Status::IoError("unknown stream health code " +
+                             std::to_string(health));
+    }
+    CERL_RETURN_IF_ERROR(
+        r.ReadPod(&consecutive_failures, "consecutive failures"));
+    CERL_RETURN_IF_ERROR(r.ReadPod(&failed_domains, "failed domains"));
+    if (consecutive_failures > (1u << 30) || failed_domains > (1u << 30)) {
+      return Status::IoError("implausible failure counter");
     }
 
     auto state = std::make_unique<StreamState>(
@@ -661,11 +624,7 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     // Home workers are runtime scheduling state: reassigned round-robin for
     // THIS engine's worker count, exactly as AddStream would.
     state->home = static_cast<int>(i) % pool_.num_threads();
-    if (version >= 3) {
-      // Learned stage cost rates. Pre-v3 snapshots predate the cost model:
-      // their streams restore cold and re-learn within a few stages.
-      CERL_RETURN_IF_ERROR(state->cost_model.Deserialize(&r));
-    }
+    CERL_RETURN_IF_ERROR(state->cost_model.Deserialize(&r));
     uint8_t has_trainer = 0;
     CERL_RETURN_IF_ERROR(r.ReadPod(&has_trainer, "trainer flag"));
     if (has_trainer > 1) {
@@ -675,8 +634,8 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
       uint64_t blob_len = 0;
       CERL_RETURN_IF_ERROR(r.ReadPod(&blob_len, "trainer blob length"));
       CERL_RETURN_IF_ERROR(r.Require(blob_len, "trainer blob"));
-      // v4: the blob bytes are excluded from the container checksum —
-      // record the span for the post-parse verification below.
+      // The blob bytes are excluded from the container checksum — record
+      // the span for the post-parse verification below.
       blob_spans.emplace_back(payload.size() - r.remaining(),
                               static_cast<size_t>(blob_len));
       std::string blob(static_cast<size_t>(blob_len), '\0');
@@ -685,10 +644,8 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
       // The fence guarantees the blob is a domain-boundary state, so it
       // doubles as the restored stream's last-good rollback target and
       // blob-reuse cache.
-      if (options_.health_guards || options_.snapshot_reuse_blobs) {
-        state->last_good = std::move(blob);
-        state->last_good_stage = state->trainer.stages_seen();
-      }
+      state->last_good = std::move(blob);
+      state->last_good_stage = state->trainer.stages_seen();
     }
     state->pushed = static_cast<int>(completed);
 
@@ -708,22 +665,20 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     return Status::IoError("engine snapshot has " +
                            std::to_string(r.remaining()) + " trailing bytes");
   }
-  if (version >= 4) {
-    // Post-parse metadata verification: hash everything except the blob
-    // spans (each blob verified its own checksum in DeserializeCheckpoint
-    // above). Runs before anything is committed, so a corrupt container
-    // still leaves the engine with zero streams.
-    Fnv1a64Stream hasher;
-    size_t pos = 0;
-    for (const auto& span : blob_spans) {
-      hasher.Update(payload.substr(pos, span.first - pos));
-      pos = span.first + span.second;
-    }
-    hasher.Update(payload.substr(pos));
-    if (hasher.digest() != stored_hash) {
-      return Status::IoError(
-          "engine snapshot: checksum mismatch (corrupted file)");
-    }
+  // Post-parse metadata verification: hash everything except the blob
+  // spans (each blob verified its own checksum in DeserializeCheckpoint
+  // above). Runs before anything is committed, so a corrupt container still
+  // leaves the engine with zero streams.
+  Fnv1a64Stream hasher;
+  size_t pos = 0;
+  for (const auto& span : blob_spans) {
+    hasher.Update(payload.substr(pos, span.first - pos));
+    pos = span.first + span.second;
+  }
+  hasher.Update(payload.substr(pos));
+  if (hasher.digest() != stored_hash) {
+    return Status::IoError(
+        "engine snapshot: checksum mismatch (corrupted file)");
   }
   if (backlog_in_wal && wal_ == nullptr) {
     CERL_LOG(Warning)
@@ -752,9 +707,10 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   // admitted by the saved engine, so queue bounds do not re-apply, and a
   // quarantined stream's journal drains through the pipeline as
   // kUnavailable drops instead of being silently lost here. When THIS
-  // engine has a WAL open (pre-v4 snapshot carried a journal into a
-  // WAL-enabled engine), the internal push re-logs each domain — harmless:
-  // a later Recover() skips records below the restored completed count.
+  // engine has a WAL open (a snapshot saved without one carried its journal
+  // into a WAL-enabled engine), the internal push re-logs each domain —
+  // harmless: a later Recover() skips records below the restored completed
+  // count.
   for (uint32_t i = 0; i < num_streams; ++i) {
     for (data::DataSplit& split : journals[i]) {
       PushDomainInternal(streams_[i].get(), std::move(split));

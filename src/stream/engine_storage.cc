@@ -208,7 +208,7 @@ Status StreamEngine::Recover(const std::string& snapshot_path) {
         pushed = s->pushed;
       }
       // Per-stream index filter (this is what makes compaction, snapshot
-      // overlap, and re-logged pre-v4 journals all safe): a record below
+      // overlap, and re-logged snapshot journals all safe): a record below
       // the stream's push counter is subsumed — already trained into the
       // restored trainer blob or already re-enqueued — and skipped; the
       // record AT the counter is the next accepted domain and replays; a
@@ -322,12 +322,10 @@ Status StreamEngine::EnsureResidentOnGroup(StreamState* s) {
   s->resident = true;
   ++s->fault_backs;
   s->touch_tick = ++storage_tick_;
-  if (options_.health_guards || options_.snapshot_reuse_blobs) {
-    // The blob is a domain-boundary state: re-seed the rollback target and
-    // the snapshot blob cache, exactly as LoadSnapshot does.
-    s->last_good = std::move(blob);
-    s->last_good_stage = s->trainer.stages_seen();
-  }
+  // The blob is a domain-boundary state: re-seed the rollback target and
+  // the snapshot blob cache, exactly as LoadSnapshot does.
+  s->last_good = std::move(blob);
+  s->last_good_stage = s->trainer.stages_seen();
   return Status::Ok();
 }
 

@@ -41,7 +41,6 @@ double MsSince(Clock::time_point t0) {
 }  // namespace
 
 void StreamEngine::PublishSnapshot(StreamState* s) {
-  if (!options_.publish_snapshots) return;
   const uint64_t version =
       s->snapshot_version.load(std::memory_order_relaxed) + 1;
   std::shared_ptr<const serve::EffectSnapshot> snap =

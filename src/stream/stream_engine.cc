@@ -17,18 +17,13 @@
 
 namespace cerl::stream {
 
-namespace {
-
-// Exponential backoff before retry `attempt` (1-based), capped at 100ms so
-// a misconfigured base can never park a domain for long. The delay is spent
-// on the pool's timer heap, not on a worker.
 int BackoffMs(int base_ms, int attempt) {
+  constexpr int kMaxBackoffMs = 100;
   if (base_ms <= 0) return 0;
-  const int shift = std::min(attempt - 1, 6);
-  return std::min(100, base_ms << shift);
+  // Clamp before shifting: 100 << 6 fits an int, so no base can overflow.
+  const int shift = std::clamp(attempt - 1, 0, 6);
+  return std::min(kMaxBackoffMs, std::min(base_ms, kMaxBackoffMs) << shift);
 }
-
-}  // namespace
 
 const char* StreamHealthName(StreamHealth health) {
   switch (health) {
@@ -146,10 +141,11 @@ void StreamEngine::PushDomainInternal(StreamState* s, data::DataSplit split) {
   auto owned = std::make_unique<PendingDomain>();
   owned->split = std::move(split);
   std::lock_guard<std::mutex> lock(state_mutex_);
-  // Re-log journaled domains from a pre-v4 snapshot into the WAL (they were
-  // accepted by the saved engine and must stay recoverable). Suppressed
-  // during Recover()'s own replay; a failure here cannot reject — the
-  // domain is already admitted — so it degrades to a warning.
+  // Re-log journaled domains into the WAL: a snapshot saved without a WAL
+  // carries its backlog inline, and those domains were accepted by the
+  // saved engine, so they must stay recoverable here. Suppressed during
+  // Recover()'s own replay; a failure here cannot reject — the domain is
+  // already admitted — so it degrades to a warning.
   if (wal_ != nullptr && !wal_replaying_) {
     Status logged = WalLogDomainLocked(*s, s->pushed, owned->split);
     if (!logged.ok()) {
@@ -279,10 +275,9 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   // score — the stage trained on garbage.
   s->group.Submit([this, sp, d] {
     if (!d->failure.ok()) return;
-    RunStageTimed(sp, d, StageKind::kTrain, [this, sp, d] {
+    RunStageTimed(sp, d, StageKind::kTrain, [sp, d] {
       sp->trainer.TrainStage(d->ctx.get());
-      if (options_.health_guards &&
-          !std::isfinite(d->ctx->stats.best_valid_loss)) {
+      if (!std::isfinite(d->ctx->stats.best_valid_loss)) {
         throw StatusError(
             Status::NumericalError("non-finite stage validation loss"));
       }
@@ -292,16 +287,14 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   // Migrate + finish: success bookkeeping or the failure epilogue.
   s->group.Submit([this, sp, d] {
     if (d->failure.ok()) {
-      RunStageTimed(sp, d, StageKind::kMigrate, [this, sp, d] {
+      RunStageTimed(sp, d, StageKind::kMigrate, [sp, d] {
         sp->trainer.MigrateStage(d->ctx.get());
         // Post-migrate guard covers the whole durable state: migration just
         // rewrote the memory bank through phi, so params AND memory
         // representations must be finite before this boundary is declared
         // good.
-        if (options_.health_guards) {
-          Status health = sp->trainer.CheckNumericalHealth();
-          if (!health.ok()) throw StatusError(health);
-        }
+        Status health = sp->trainer.CheckNumericalHealth();
+        if (!health.ok()) throw StatusError(health);
       });
     }
     if (!d->failure.ok()) {
@@ -325,19 +318,15 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
     }
     // Capture the new last-good rollback boundary outside the engine lock
     // (the group serializes all trainer access). Doubles as the snapshot
-    // blob cache when snapshot_reuse_blobs is on, so it is captured under
-    // either option. On the vanishingly unlikely serialize failure the
+    // blob cache. On the vanishingly unlikely serialize failure the
     // previous boundary stays in place — a stale rollback target beats
     // none (and the stale cache is rejected by its stage tag).
     std::string last_good;
     int last_good_stage = -1;
-    if (options_.health_guards || options_.snapshot_reuse_blobs) {
-      Status serialized = sp->trainer.SerializeCheckpoint(&last_good);
-      if (!serialized.ok()) {
-        last_good.clear();
-      } else {
-        last_good_stage = sp->trainer.stages_seen();
-      }
+    if (sp->trainer.SerializeCheckpoint(&last_good).ok()) {
+      last_good_stage = sp->trainer.stages_seen();
+    } else {
+      last_good.clear();
     }
     // Publish the new domain boundary to the serving plane, still outside
     // the engine lock (the group serializes the trainer; readers swap in
@@ -385,7 +374,7 @@ void StreamEngine::HandleFailure(StreamState* sp, PendingDomain* d) {
   const bool trainer_touched = d->ctx != nullptr;
   d->ctx.reset();
 
-  if (!d->terminal && trainer_touched && options_.health_guards) {
+  if (!d->terminal && trainer_touched) {
     // Roll the trainer back to its last-good domain boundary. BeginStage
     // advanced stages_seen_ (and TrainStage may have poisoned parameters),
     // so the restore is what makes a retry replay the IDENTICAL stage:
@@ -408,15 +397,13 @@ void StreamEngine::HandleFailure(StreamState* sp, PendingDomain* d) {
     }
   }
 
-  // Bounded retry (health_guards only: without rollback a replay would run
-  // on a dirty trainer and could not be bit-identical). The backoff is a
-  // DEADLINE requeue, not a sleep: the domain parks on the pool's timer
+  // Bounded retry (the rollback above is what makes the replay
+  // bit-identical). The backoff is a DEADLINE requeue, not a sleep: the domain parks on the pool's timer
   // heap and the worker returns to serving other streams; when the deadline
   // fires, the attempt is resubmitted onto the stream's (idle) strand. The
   // domain stays in_flight throughout, so Drain and the snapshot fence keep
   // waiting it out exactly as before.
-  if (!d->terminal && options_.health_guards &&
-      d->attempt < options_.max_domain_retries) {
+  if (!d->terminal && d->attempt < options_.max_domain_retries) {
     const Status failure = d->failure;
     ++d->attempt;
     d->failure = Status::Ok();

@@ -37,6 +37,12 @@
 // fixed order, all per-stream RNG streams live in the trainer/context, and
 // stage serialization (TaskGroup) carries the cross-worker memory fences.
 // Both properties are asserted by tests/stream_engine_test.cc.
+//
+// Domain boundary: every successful domain ends with the same fixed work —
+// the finiteness guards, a last-good CERLCKP1 capture (rollback target and
+// snapshot blob cache in one) and an effect-snapshot publish. None of it is
+// optional; together it costs under 1% of a domain's ingest
+// (BM_DomainBoundaryWork in bench/micro_substrates.cc).
 #pragma once
 
 #include <condition_variable>
@@ -87,23 +93,18 @@ struct StreamEngineOptions {
   SchedulePolicy schedule_policy = SchedulePolicy::kCostAware;
 
   // --- Fault isolation (per-tenant health; see README "Failure model") ---
+  // The numerical health guards always run: a non-finite validation loss,
+  // parameter, or memory representation rolls the stream's trainer back to
+  // its last-good domain boundary and retries the domain.
 
-  /// Numerical health guards at stage boundaries: a non-finite validation
-  /// loss, parameter, or memory representation rolls the stream's trainer
-  /// back to its last-good domain boundary (in-memory CERLCKP1 blob,
-  /// captured after every successful domain) and retries the domain. Off =
-  /// no guard scans and no last-good capture; a failed domain then leaves
-  /// the trainer wherever the failure left it (the bench's guards-off
-  /// configuration measures the pure pipeline).
-  bool health_guards = true;
   /// Admission bound: PushDomain returns kResourceExhausted while a
   /// stream's queued (not yet dispatched) domains are at this count.
   /// 0 = unbounded.
   int max_queued_domains = 0;
   /// Failed-domain retries before the domain is dropped. Each retry rolls
-  /// back (health_guards) and replays the identical stage pipeline, so a
-  /// transient fault recovers bit-identically; a deterministic one fails
-  /// again and falls through to the drop.
+  /// back and replays the identical stage pipeline, so a transient fault
+  /// recovers bit-identically; a deterministic one fails again and falls
+  /// through to the drop.
   int max_domain_retries = 2;
   /// Backoff before retry r is retry_backoff_ms << (r-1) milliseconds,
   /// capped at 100ms. The waiting domain is parked on the pool's timer
@@ -114,22 +115,6 @@ struct StreamEngineOptions {
   /// Consecutive dropped domains after which the stream is quarantined:
   /// its queue is rejected with kUnavailable, as is every later push.
   int quarantine_after_failures = 2;
-  /// SaveSnapshot retries transient WriteFileAtomic failures this many
-  /// times with exponential backoff before reporting the IO error.
-  int snapshot_io_retries = 3;
-  /// Backoff before snapshot-write retry r: snapshot_retry_backoff_ms <<
-  /// (r-1) milliseconds, capped at 100ms.
-  int snapshot_retry_backoff_ms = 1;
-
-  // --- Serving plane (QueryEffect / QueryEffectBatch) -------------------
-
-  /// Publish an immutable serve::EffectSnapshot after every successful
-  /// domain migration (and after LoadSnapshot restores a trained stream),
-  /// making the stream queryable concurrently with training. Off = no
-  /// snapshot builds on the write path (queries return
-  /// kFailedPrecondition); the bench's publish-off configuration isolates
-  /// the serving plane's ingest cost.
-  bool publish_snapshots = true;
 
   // --- Paged tenant-state storage (src/storage/; see README "Storage
   // engine & durability"). Activated by OpenStorage()/Recover(). ----------
@@ -156,11 +141,6 @@ struct StreamEngineOptions {
   /// fsync per accepted domain. Off (default) survives process death only
   /// (the write() completed before PushDomain returned).
   bool wal_fsync = false;
-  /// O(dirty streams) snapshots: streams whose trainer is unchanged since
-  /// the last blob capture re-embed the cached CERLCKP1 blob instead of
-  /// re-serializing. Off = every SaveSnapshot re-serializes every trainer
-  /// (the full-rewrite baseline arm of the snapshot bench).
-  bool snapshot_reuse_blobs = true;
 };
 
 /// Per-stream health (Healthy -> Degraded -> Quarantined). Degraded means
@@ -377,8 +357,9 @@ class StreamEngine {
     int num_streams = 0;
     int completed_domains = 0;  ///< fully trained+migrated, summed
     int journaled_domains = 0;  ///< queued-but-untrained, summed
-    /// Streams whose trainer blob had to be re-serialized at the fence
-    /// (changed since the last capture, or blob caching disabled).
+    /// Streams whose trainer blob had to be re-serialized at the fence:
+    /// the cached last-good capture was missing or older than the trainer
+    /// (e.g. the trainer was advanced through trainer(id) since).
     int dirty_streams = 0;
     /// Streams whose blob was reused: memcpy of the cached capture, or a
     /// page-store read for a spilled stream. dirty + reused + untrained
@@ -401,9 +382,11 @@ class StreamEngine {
   /// still-queued domains so pushed work is never lost (elided when the WAL
   /// already holds them) — then resumes dispatch. The write is
   /// crash-safe (temp file + fsync + atomic rename), carries a checksum,
-  /// and transient IO failures are retried with bounded exponential
-  /// backoff (options.snapshot_io_retries). Concurrent PushDomain is safe:
-  /// a push lands either in the journal or in the resumed queue.
+  /// and transient IO failures are retried up to 3 times with bounded
+  /// exponential backoff (1 ms doubling). Each trainer blob is the stream's
+  /// cached last-good capture when it is current, else a fresh serialize.
+  /// Concurrent PushDomain is safe: a push lands either in the journal or
+  /// in the resumed queue.
   Status SaveSnapshot(const std::string& path, SnapshotInfo* info = nullptr);
 
   /// Rebuilds a saved engine into THIS engine, which must be freshly
@@ -413,13 +396,9 @@ class StreamEngine {
   /// re-enqueues the journaled domains in their original order (training
   /// resumes immediately on the engine's workers; a quarantined stream's
   /// journal drains through the pipeline as kUnavailable drops, exactly as
-  /// it would have in the saved engine). Reads CERLENG4 plus the older
-  /// CERLENG3 (journal always inline, checksum over every byte), CERLENG2
-  /// (also predates the cost-model block: streams restore with cold cost
-  /// models and re-learn rates within a few stages) and CERLENG1 (also
-  /// predates health state: streams restore as healthy).
-  /// Worker count stays as THIS engine was constructed — it is a runtime
-  /// scheduling choice, not durable state. Per-domain
+  /// it would have in the saved engine). Reads CERLENG4 only: any other
+  /// magic is kIoError. Worker count stays as THIS engine was constructed
+  /// — it is a runtime scheduling choice, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient
   /// diagnostics); domain indices continue from the saved counters.
   /// All-or-nothing: on any error the engine still has zero streams.
@@ -492,10 +471,10 @@ class StreamEngine {
   void SubmitAttemptLocked(StreamState* s);
 
   /// Failure epilogue for the in-flight domain, running on the stream's
-  /// task group: rolls the trainer back to its last-good boundary
-  /// (health_guards), then either requeues the attempt with a backoff
-  /// deadline (pool timer heap — no worker sleeps) or drops the domain and
-  /// advances the health state machine.
+  /// task group: rolls the trainer back to its last-good boundary, then
+  /// either requeues the attempt with a backoff deadline (pool timer heap —
+  /// no worker sleeps) or drops the domain and advances the health state
+  /// machine.
   void HandleFailure(StreamState* s, PendingDomain* d);
 
   /// Health transition that also refreshes the stream's lock-free mirror
@@ -506,8 +485,8 @@ class StreamEngine {
   /// Builds and RCU-publishes the stream's next EffectSnapshot from its
   /// trainer. Must run where the trainer is quiescent and externally
   /// serialized: the stream's task group (finish task) or LoadSnapshot's
-  /// single-threaded restore. No-op when options_.publish_snapshots is off
-  /// or the trainer has no model yet. Defined in stream/query_plane.cc.
+  /// single-threaded restore. No-op while the trainer has no model yet.
+  /// Defined in stream/query_plane.cc.
   void PublishSnapshot(StreamState* s);
 
   /// Runs one stage body with wall-time measurement, feeds the observation

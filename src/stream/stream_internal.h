@@ -15,6 +15,12 @@
 
 namespace cerl::stream {
 
+/// Exponential backoff in milliseconds before retry `attempt` (1-based):
+/// base_ms doubling per retry, capped at 100ms so a large base can never
+/// park work for long; 0 for a non-positive base. Shared by the domain
+/// retry (HandleFailure) and the snapshot-write retry (SaveSnapshot).
+int BackoffMs(int base_ms, int attempt);
+
 // One pushed domain moving through the stage pipeline. The split must stay
 // address-stable while tasks reference it, so PendingDomains are held by
 // unique_ptr and never relocated.
@@ -88,9 +94,8 @@ struct StreamEngine::StreamState {
   // boundary — the rollback target for health-guard failures AND the
   // snapshot blob cache (O(dirty) snapshots re-embed it instead of
   // re-serializing an unchanged trainer). Captured by the finish task
-  // after every successful domain when health_guards or
-  // snapshot_reuse_blobs is on; read by HandleFailure / the spill task on
-  // the same stream's group (serialized), so access needs no extra lock
+  // after every successful domain; read by HandleFailure / the spill task
+  // on the same stream's group (serialized), so access needs no extra lock
   // beyond state_mutex_ for the capture.
   std::string last_good;
   /// trainer.stages_seen() at the moment last_good was captured; -1 when

@@ -1,4 +1,4 @@
-// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG1
+// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG4
 // engine snapshot: programmatic truncation at EVERY byte offset and byte
 // flips across header/dims/blob regions must all come back as clean Status
 // errors — no crash, no OOM-sized allocation, and no partial mutation of the

@@ -256,7 +256,7 @@ TEST(EngineCheckpointTest, MissingSnapshotFileIsCleanError) {
 
 TEST(EngineCheckpointTest, HealthStateRoundTripsThroughSnapshot) {
   // A quarantined stream must restore quarantined (still rejecting pushes),
-  // and its failure counters must survive the CERLENG2 round trip.
+  // and its failure counters must survive the snapshot round trip.
   const CerlConfig config = FastConfig(121);
   StreamEngineOptions options;
   options.num_workers = 2;
@@ -299,12 +299,11 @@ TEST(EngineCheckpointTest, SaveSnapshotRetriesTransientIoFailure) {
   const CerlConfig config = FastConfig(131);
   StreamEngineOptions options;
   options.num_workers = 2;
-  options.snapshot_io_retries = 3;
-  options.snapshot_retry_backoff_ms = 1;
   StreamEngine engine(options);
   engine.AddStream("retry", config, kFeatures);
 
-  // Two injected write failures, then the third attempt lands.
+  // Two injected write failures, then the third attempt lands (the engine
+  // retries a failed write 3 times).
   FaultInjector::Global().Arm(FaultPoint::kIoWrite, /*scope=*/"",
                               /*probability=*/1.0, /*max_fires=*/2,
                               /*seed=*/1);
@@ -329,67 +328,58 @@ TEST(EngineCheckpointTest, SaveSnapshotRetriesTransientIoFailure) {
 
 // CERLENG4 blob reuse: a stream whose trainer is unchanged since its last
 // blob capture is embedded from the cache (reused), not re-serialized
-// (dirty) — and the container is byte-identical either way.
+// (dirty), and the cached blob restores bit-identically to the live trainer.
 TEST(EngineCheckpointTest, SnapshotInfoCountsReusedAndDirtyBlobs) {
   const int kStreams = 3;
-  std::vector<CerlConfig> configs;
-  std::vector<std::vector<DataSplit>> domains;
-  for (int s = 0; s < kStreams; ++s) {
-    configs.push_back(FastConfig(700 + 13 * s));
-    domains.push_back(MakeStream(60 + s, 1, 0.5));
-  }
-
-  const auto run = [&](bool reuse, const std::string& path,
-                       StreamEngine::SnapshotInfo* info) {
-    StreamEngineOptions options;
-    options.num_workers = 2;
-    options.snapshot_reuse_blobs = reuse;
-    StreamEngine engine(options);
-    for (int s = 0; s < kStreams; ++s) {
-      engine.AddStream("tenant-" + std::to_string(s), configs[s], kFeatures);
-    }
-    engine.AddStream("untrained", FastConfig(999), kFeatures);
-    for (int s = 0; s < kStreams; ++s) {
-      ASSERT_TRUE(engine.PushDomain(s, domains[s][0]).ok());
-    }
-    engine.Drain();
-    ASSERT_TRUE(engine.SaveSnapshot(path, info).ok());
-    if (reuse) {
-      // A second fence with nothing retrained reuses every blob again.
-      StreamEngine::SnapshotInfo again;
-      ASSERT_TRUE(engine.SaveSnapshot(path, &again).ok());
-      EXPECT_EQ(again.reused_blobs, kStreams);
-      EXPECT_EQ(again.dirty_streams, 0);
-    }
-  };
-
-  const std::string reuse_path = ::testing::TempDir() + "/engine_reuse.snap";
-  const std::string full_path = ::testing::TempDir() + "/engine_full.snap";
-  StreamEngine::SnapshotInfo reuse_info, full_info;
-  run(true, reuse_path, &reuse_info);
-  run(false, full_path, &full_info);
-
-  EXPECT_EQ(reuse_info.num_streams, kStreams + 1);
-  // Reuse on: the finish task captured every trainer's blob at its domain
-  // boundary, so the fence re-serializes nothing. Off: every trained
-  // stream is serialized under the fence (the full-rewrite baseline).
-  EXPECT_EQ(reuse_info.reused_blobs, kStreams);
-  EXPECT_EQ(reuse_info.dirty_streams, 0);
-  EXPECT_EQ(full_info.reused_blobs, 0);
-  EXPECT_EQ(full_info.dirty_streams, kStreams);
-  EXPECT_GE(reuse_info.serialize_ms, 0.0);
-
-  // The cached blob IS the fence-time serialization: both containers
-  // restore to bitwise-identical trainers (the containers themselves differ
-  // only in timing-dependent cost-model rates).
   StreamEngineOptions options;
   options.num_workers = 2;
-  StreamEngine a(options), b(options);
-  ASSERT_TRUE(a.LoadSnapshot(reuse_path).ok());
-  ASSERT_TRUE(b.LoadSnapshot(full_path).ok());
+  StreamEngine engine(options);
+  std::vector<std::vector<DataSplit>> domains;
   for (int s = 0; s < kStreams; ++s) {
-    ExpectTrainersBitIdentical(&a.trainer(s), &b.trainer(s),
-                               domains[s][0].test.x,
+    domains.push_back(MakeStream(60 + s, 2, 0.5));
+    engine.AddStream("tenant-" + std::to_string(s), FastConfig(700 + 13 * s),
+                     kFeatures);
+  }
+  engine.AddStream("untrained", FastConfig(999), kFeatures);
+  for (int s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(engine.PushDomain(s, domains[s][0]).ok());
+  }
+  engine.Drain();
+
+  // (a) The finish task captured every trainer's blob at its domain
+  // boundary, so the fence re-serializes nothing — and the reused blobs ARE
+  // the live trainers.
+  const std::string reuse_path = ::testing::TempDir() + "/engine_reuse.snap";
+  StreamEngine::SnapshotInfo info;
+  ASSERT_TRUE(engine.SaveSnapshot(reuse_path, &info).ok());
+  EXPECT_EQ(info.num_streams, kStreams + 1);
+  EXPECT_EQ(info.reused_blobs, kStreams);
+  EXPECT_EQ(info.dirty_streams, 0);
+  EXPECT_GE(info.serialize_ms, 0.0);
+  {
+    StreamEngine restored(options);
+    ASSERT_TRUE(restored.LoadSnapshot(reuse_path).ok());
+    for (int s = 0; s < kStreams; ++s) {
+      ExpectTrainersBitIdentical(&restored.trainer(s), &engine.trainer(s),
+                                 domains[s][0].test.x,
+                                 "reused stream " + std::to_string(s));
+    }
+  }
+
+  // (b) Advancing a drained stream through trainer(id) outdates its cached
+  // blob: the fence falls back to a fresh serialize for exactly that stream,
+  // and the fresh blob restores bit-identically too.
+  engine.trainer(1).ObserveDomain(domains[1][1]);
+  const std::string dirty_path = ::testing::TempDir() + "/engine_dirty.snap";
+  ASSERT_TRUE(engine.SaveSnapshot(dirty_path, &info).ok());
+  EXPECT_EQ(info.dirty_streams, 1);
+  EXPECT_EQ(info.reused_blobs, kStreams - 1);
+  StreamEngine restored(options);
+  ASSERT_TRUE(restored.LoadSnapshot(dirty_path).ok());
+  EXPECT_EQ(restored.trainer(1).stages_seen(), 2);
+  for (int s = 0; s < kStreams; ++s) {
+    ExpectTrainersBitIdentical(&restored.trainer(s), &engine.trainer(s),
+                               domains[s][1].test.x,
                                "stream " + std::to_string(s));
   }
 }

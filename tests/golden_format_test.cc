@@ -1,8 +1,9 @@
-// Golden-format compatibility: small CERLCKP1 / CERLENG1 fixtures are
+// Golden-format compatibility: small CERLCKP1 / CERLENG4 fixtures are
 // committed under tests/testdata/ and every build must keep loading them
 // bit-identically (PredictIte parity against committed hexfloat values).
 // This freezes the on-disk formats — an accidental layout change breaks
-// these tests, not production restores.
+// these tests, not production restores. CERLENG4 is the only engine format
+// the reader accepts; the older container magics are typed load errors.
 //
 // Regenerating (only when the format is INTENTIONALLY revised):
 //   CERL_REGEN_GOLDEN=1 ./build/tests/golden_format_test
@@ -228,6 +229,27 @@ TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
                 "golden engine stream a");
   ExpectExactly(engine.trainer(1).PredictIte(ProbeInputs()), expected[2],
                 "golden engine stream b");
+}
+
+// Pre-CERLENG4 containers are no longer readable: the CERLENG4 fixture with
+// a legacy magic is a typed IO error and leaves the engine with zero streams.
+TEST(GoldenFormatTest, LegacyEngineMagicsAreIoErrors) {
+  Result<std::string> bytes = ReadFileToString(EngineFixture());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_EQ(bytes.value().substr(0, 8), "CERLENG4");
+  for (const char* magic : {"CERLENG1", "CERLENG2", "CERLENG3"}) {
+    std::string legacy = bytes.value();
+    legacy.replace(0, 8, magic);
+    const std::string path = ::testing::TempDir() + "/legacy_" + magic;
+    ASSERT_TRUE(WriteFileAtomic(path, legacy).ok());
+    stream::StreamEngineOptions options;
+    options.num_workers = 2;
+    stream::StreamEngine engine(options);
+    Status s = engine.LoadSnapshot(path);
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << magic << ": " << s.ToString();
+    EXPECT_EQ(engine.num_streams(), 0) << magic;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

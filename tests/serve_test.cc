@@ -249,24 +249,6 @@ TEST(QueryPlaneTest, PublishesAfterEachDomainAndAnswersBitIdentically) {
   EXPECT_EQ(stats.latency.count(), 4);
 }
 
-TEST(QueryPlaneTest, PublishOffServesNothing) {
-  StreamEngineOptions options;
-  options.num_workers = 2;
-  options.publish_snapshots = false;
-  StreamEngine engine(options);
-  const CerlConfig config = SmallConfig(53);
-  const int id = engine.AddStream("dark", config, kFeatures);
-  QueryContext* ctx = engine.CreateQueryContext();
-  const std::vector<DataSplit> domains = MakeStream(54, 1, 0.5);
-  ASSERT_TRUE(engine.PushDomain(id, domains[0]).ok());
-  engine.Drain();
-  Vector ite;
-  EXPECT_EQ(engine.QueryEffectBatch(ctx, id, domains[0].test.x, &ite).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.effect_snapshot(id), nullptr);
-  EXPECT_EQ(engine.query_stats(id).snapshot_version, 0u);
-}
-
 TEST(QueryPlaneTest, NullArgumentsAreInvalidArgument) {
   StreamEngineOptions options;
   options.num_workers = 2;

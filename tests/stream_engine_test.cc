@@ -4,6 +4,8 @@
 // result bookkeeping.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -14,6 +16,7 @@
 #include "core/cerl_trainer.h"
 #include "data/dataset.h"
 #include "stream/stream_engine.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace cerl::stream {
@@ -382,6 +385,37 @@ TEST(StreamEngineTest, RepeatedBadDomainsQuarantineAndPushGetsTypedReject) {
   EXPECT_TRUE(engine.results(good_id)[0].status.ok());
 }
 
+// The retry backoff clamps the configured base BEFORE doubling it: with the
+// largest int base, every one of the 3 retries waits the 100 ms cap. An
+// unclamped shift would go negative at retry 2 (no wait at all) and
+// overflow at retry 3, which UBSan traps.
+TEST(StreamEngineTest, RetryBackoffClampsHugeBase) {
+  StreamEngineOptions options;
+  options.num_workers = 2;
+  options.retry_backoff_ms = INT_MAX;
+  options.max_domain_retries = 3;
+  StreamEngine engine(options);
+  const int id = engine.AddStream("huge-backoff", FastConfig(75), kFeatures);
+  Rng rng(31);
+  const DataSplit split = data::SplitDataset(ShiftedToy(&rng, 200, 0.0), &rng);
+
+  FaultInjector::Global().Arm(FaultPoint::kStageThrow, "huge-backoff",
+                              /*probability=*/1.0, /*max_fires=*/0,
+                              /*seed=*/1);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(engine.PushDomain(id, split).ok());
+  engine.Drain();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  FaultInjector::Global().Reset();
+
+  const std::vector<DomainResult>& results = engine.results(id);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kInternal);
+  EXPECT_EQ(results[0].attempts, 4);  // 1 + max_domain_retries
+  EXPECT_GE(elapsed_ms, 300.0);       // 3 backoffs at the 100 ms cap
+}
 
 // Threads alive in this process: the `Threads:` line of /proc/self/status
 // (-1 where procfs is unavailable).
