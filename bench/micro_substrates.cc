@@ -145,6 +145,49 @@ void BM_TrainLoopEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainLoopEpoch)->Arg(1000)->Arg(4000);
 
+// BM_TrainLoopEpoch's MLP with the loss over a content-dependent row subset
+// of each batch (the rows whose fixed random label is 1, like CFR's
+// treated/control split), so the graph's shapes change from step to step.
+// Paired in CI against BM_TrainLoopEpoch/1000 in the same run, so a per-step
+// cost of shape churn shows up as a ratio shift whatever the host speed.
+void BM_TrainLoopEpochVaryingSplit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(10);
+  nn::MlpConfig config;
+  config.dims = {100, 48, 16, 1};
+  nn::Mlp mlp(&rng, config);
+  linalg::Matrix x = RandomMatrix(&rng, n, 100);
+  linalg::Matrix y = RandomMatrix(&rng, n, 1);
+  std::vector<int> label(n);
+  for (int& l : label) l = rng.Uniform() < 0.5 ? 1 : 0;
+  train::LoopOptions options;
+  options.epochs = 1;
+  options.batch_size = 128;
+  options.patience = 2;
+  std::vector<int> rows;
+  for (auto _ : state) {
+    train::TrainLoop loop(options, mlp.Parameters());
+    train::TrainStats stats = loop.Run(
+        n, {&x, &y},
+        [&](autodiff::Tape* tape, train::IndexSpan batch,
+            const std::vector<linalg::Matrix>& gathered) {
+          rows.clear();
+          for (int i = 0; i < batch.size(); ++i) {
+            if (label[batch[i]] == 1) rows.push_back(i);
+          }
+          autodiff::Var xb = autodiff::GatherRows(
+              tape->ConstantView(&gathered[0]), rows);
+          autodiff::Var yb = autodiff::GatherRows(
+              tape->ConstantView(&gathered[1]), rows);
+          return autodiff::MseLoss(mlp.Forward(tape, xb), yb);
+        },
+        [] { return 1.0; });
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TrainLoopEpochVaryingSplit)->Arg(1000);
+
 void BM_GatherRows(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int cols = 100;

@@ -1,8 +1,36 @@
 #include "autodiff/tape.h"
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 namespace cerl::autodiff {
+namespace {
+
+// The calling thread's idle tapes. Leases nest LIFO (a training loop holds
+// its tape while the validation callback leases another), so the pool never
+// holds more tapes than the deepest nesting seen on the thread.
+std::vector<std::unique_ptr<Tape>>& IdleTapes() {
+  thread_local std::vector<std::unique_ptr<Tape>> idle;
+  return idle;
+}
+
+}  // namespace
+
+TapeLease::TapeLease() {
+  std::vector<std::unique_ptr<Tape>>& idle = IdleTapes();
+  if (idle.empty()) {
+    tape_ = std::make_unique<Tape>();
+  } else {
+    tape_ = std::move(idle.back());
+    idle.pop_back();
+  }
+}
+
+TapeLease::~TapeLease() {
+  tape_->Reset();
+  IdleTapes().push_back(std::move(tape_));
+}
 
 const Matrix& Var::value() const {
   CERL_CHECK(valid());
@@ -50,7 +78,8 @@ Var Tape::ConstantImpl(M&& value) {
     ++size_;
   } else {
     Node& node = ClaimSlot();
-    if (node.value.SameShape(value)) {
+    if (value.size() <= node.value.capacity()) {
+      node.value.Resize(value.rows(), value.cols());
       node.value.CopyFrom(value);  // keep the retained buffer
     } else {
       node.value = std::forward<M>(value);
@@ -100,8 +129,11 @@ Var Tape::NewNode(int rows, int cols, BackwardKernel kernel,
                        (ctx.b >= 0 && nodes_[ctx.b].requires_grad);
   if (node.requires_grad) node.kernel = kernel;
   if (node.value.rows() != rows || node.value.cols() != cols) {
-    node.value = Matrix(rows, cols);
-    ++arena_allocations_;
+    // In place and without zero-fill: the op overwrites the whole buffer.
+    if (static_cast<int64_t>(rows) * cols > node.value.capacity()) {
+      ++arena_allocations_;
+    }
+    node.value.Resize(rows, cols);
   }
   *out = &node.value;
   return Var(this, size_ - 1);
@@ -113,11 +145,10 @@ Matrix& Tape::GradRef(int id) {
   if (node.grad_gen != gen_) {
     const Matrix& v = ValueOf(id);
     if (!node.grad.SameShape(v)) {
-      node.grad = Matrix(v.rows(), v.cols());
-      ++arena_allocations_;
-    } else {
-      node.grad.Fill(0.0);
+      if (v.size() > node.grad.capacity()) ++arena_allocations_;
+      node.grad.Resize(v.rows(), v.cols());
     }
+    node.grad.Fill(0.0);  // backward kernels accumulate into it
     node.grad_gen = gen_;
   }
   return node.grad;

@@ -5,15 +5,22 @@
 // dependencies always precede their consumers in the arena, reverse
 // insertion order is a valid reverse-topological order.
 //
-// The arena is reusable: Tape::Reset() rewinds the tape to empty while
-// retaining every node's value/grad Matrix buffer, the parameter-binding
-// vector, and the gather-index pool. Re-recording a graph with the same
-// topology and shapes (the steady state of mini-batch training, where the
-// graph is fixed for a fixed batch size) then performs zero heap
-// allocations: each op writes its forward result into the buffer the
-// previous pass left at the same arena position (shape-checked; a mismatch
-// reallocates just that node). Gradient buffers are invalidated logically
-// via a pass generation counter, so Reset() is O(1).
+// The arena is reusable and capacity-retaining: Tape::Reset() rewinds the
+// tape to empty while retaining every node's value/grad Matrix buffer, the
+// parameter-binding vector, and the gather-index pool. Each op writes its
+// forward result into the buffer the previous pass left at the same arena
+// position, reshaped in place: a slot allocates only when it needs more
+// capacity than any earlier pass gave it, and a forward buffer is never
+// zero-filled. Graphs whose shapes vary from pass to pass (the
+// treated/control split of every mini-batch differs) therefore stop
+// allocating once each slot has seen its largest shape. Gradient buffers
+// are invalidated logically via a pass generation counter, so Reset() is
+// O(1).
+//
+// TapeLease hands out retained tapes from a small per-thread pool, so
+// call sites that build a graph per call (validation losses, inference
+// helpers) reuse warmed arenas too, and the retained memory is bounded per
+// thread rather than per model.
 //
 // Backward functions are not heap-allocated std::function closures: each
 // node stores a plain function pointer plus a small trivially-copyable
@@ -33,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -129,9 +137,10 @@ class Tape {
   /// Number of nodes currently on the tape.
   int size() const { return size_; }
 
-  /// Matrix buffer (re)allocations performed by the arena since
-  /// construction. Flat across steady-state reuse passes; tests use this to
-  /// prove the zero-churn property.
+  /// Matrix buffer allocations performed by the arena since construction:
+  /// a new slot, or a slot growing beyond its retained capacity. Reshaping
+  /// within capacity is not counted. Flat once every slot has seen its
+  /// largest shape; tests use this to prove the zero-churn property.
   int64_t arena_allocations() const { return arena_allocations_; }
 
   // --- Internal API used by op implementations -----------------------------
@@ -148,10 +157,11 @@ class Tape {
   /// Backward kernel: plain function pointer, no captures.
   using BackwardKernel = void (*)(Tape*, int self, const BackwardCtx&);
 
-  /// Appends a node of the given shape, reusing the retained value buffer at
-  /// this arena position when shapes match. Returns the node handle and sets
-  /// `*out` to the node's value buffer, which the op must FULLY overwrite
-  /// (reused buffers hold the previous pass's values, not zeros).
+  /// Appends a node of the given shape, reshaping the retained value buffer
+  /// at this arena position in place (allocating only beyond its capacity).
+  /// Returns the node handle and sets `*out` to the node's value buffer,
+  /// which the op must FULLY overwrite: it holds stale or uninitialized
+  /// values, never zeros.
   /// requires_grad is inferred from ctx.a / ctx.b.
   Var NewNode(int rows, int cols, BackwardKernel kernel,
               const BackwardCtx& ctx, Matrix** out);
@@ -163,7 +173,8 @@ class Tape {
   }
   bool RequiresGrad(int id) const { return nodes_[id].requires_grad; }
 
-  /// Gradient of node `id`; zero-initialized on first touch per pass.
+  /// Gradient of node `id`; zero-filled on first touch per pass (backward
+  /// kernels accumulate into it).
   Matrix& GradRef(int id);
 
   /// True if gradient has been accumulated into the node this pass.
@@ -202,6 +213,26 @@ class Tape {
   std::vector<int> index_pool_;
   int index_size_ = 0;  ///< live prefix of index_pool_
   int64_t arena_allocations_ = 0;
+};
+
+/// RAII lease on one of the calling thread's retained tapes. The tape
+/// arrives empty and keeps the buffers of earlier passes on this thread;
+/// on release it is Reset() (no binding or alias survives) and returned to
+/// the pool. Nested leases on one thread get distinct tapes. Vars recorded
+/// on a leased tape are invalid once the lease ends.
+class TapeLease {
+ public:
+  TapeLease();
+  ~TapeLease();
+  TapeLease(const TapeLease&) = delete;
+  TapeLease& operator=(const TapeLease&) = delete;
+
+  Tape* get() const { return tape_.get(); }
+  Tape* operator->() const { return tape_.get(); }
+  Tape& operator*() const { return *tape_; }
+
+ private:
+  std::unique_ptr<Tape> tape_;
 };
 
 }  // namespace cerl::autodiff

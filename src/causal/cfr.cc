@@ -79,13 +79,6 @@ void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
   }
 }
 
-uint64_t TreatedSplitShapeKey(const std::vector<int>& t,
-                              train::IndexSpan idx) {
-  uint64_t treated = 0;
-  for (int i : idx) treated += t[i] == 1 ? 1 : 0;
-  return (static_cast<uint64_t>(idx.size()) << 32) | treated;
-}
-
 train::LoopOptions MakeLoopOptions(const TrainConfig& config,
                                    const std::string& log_label) {
   train::LoopOptions options;
@@ -120,9 +113,9 @@ double CfrModel::ValidFactualLoss(RepOutcomeNet* net,
                                   const linalg::Matrix& x_scaled,
                                   const std::vector<int>& t,
                                   const linalg::Vector& y_scaled) {
-  Tape tape;
-  Var x = tape.Constant(x_scaled);
-  FactualForward fwd = BuildFactualLoss(net, &tape, x, t, y_scaled);
+  autodiff::TapeLease tape;
+  Var x = tape->ConstantView(&x_scaled);
+  FactualForward fwd = BuildFactualLoss(net, tape.get(), x, t, y_scaled);
   return fwd.loss.scalar();
 }
 
@@ -146,7 +139,7 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
   // assembles the covariate rows; the loss only gathers the per-unit
   // treatment/outcome scalars into step-reused buffers. The
   // factual-split scratch and the Sinkhorn workspaces live here, next to
-  // the loop's persistent tapes, so steady-state steps allocate nothing in
+  // the loop's retained tape, so steady-state steps allocate nothing in
   // the loss builder; the workspaces are pooled by the (n_treated,
   // n_control) split so the OT duals warm-start from the previous batch
   // with the same split even when splits interleave.
@@ -180,12 +173,6 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
 
   train::TrainLoop loop(MakeLoopOptions(train_config_, "cfr"),
                         net_.Parameters(), &rng_);
-  // The loss graph's topology depends on the treated/control split, not
-  // just the batch size; keying the persistent tapes by both keeps every
-  // split shape on a warmed arena (same pooling rationale as above).
-  loop.SetBatchShapeKey([&train](train::IndexSpan idx) {
-    return TreatedSplitShapeKey(train.t, idx);
-  });
   return loop.Run(train.num_units(), {&x_train}, batch_loss, valid_loss);
 }
 

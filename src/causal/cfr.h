@@ -54,7 +54,7 @@ struct FactualForward {
 /// steps and the target column matrices are ALIASED by the tape
 /// (ConstantView), so a scratch passed to BuildFactualLoss must outlive the
 /// tape pass and stay unmodified until Backward has run — own one per loss
-/// builder, next to the persistent tapes, exactly like SinkhornWorkspace.
+/// builder, next to its training loop, exactly like SinkhornWorkspace.
 struct FactualScratch {
   std::vector<int> treated_idx, control_idx;
   linalg::Matrix y_treated, y_control;  ///< n x 1 head targets
@@ -76,13 +76,6 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
 void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
                         train::IndexSpan idx, std::vector<int>* t_out,
                         linalg::Vector* y_out);
-
-/// Tape-pool shape key for factual losses (train::BatchShapeKeyFn): the
-/// loss-graph topology depends on the batch size AND its treated/control
-/// split, so batches sharing (size, n_treated) share a persistent tape.
-/// Shared by CfrModel and the CERL continual stage.
-uint64_t TreatedSplitShapeKey(const std::vector<int>& t,
-                              train::IndexSpan idx);
 
 /// CFR model: RepOutcomeNet + Eq. 5 training.
 class CfrModel {

@@ -53,33 +53,36 @@ std::vector<Parameter*> RepOutcomeNet::Parameters() {
   return out;
 }
 
+// The inference helpers record on a leased per-thread tape (see
+// autodiff::TapeLease): no tape is built per call, and no tape is kept per
+// network.
 linalg::Matrix RepOutcomeNet::Representations(const linalg::Matrix& x_raw) {
-  Tape tape;
-  Var x = tape.Constant(x_scaler_.Apply(x_raw));
-  return Rep(&tape, x).value();
+  autodiff::TapeLease tape;
+  Var x = tape->Constant(x_scaler_.Apply(x_raw));
+  return Rep(tape.get(), x).value();
 }
 
 linalg::Vector RepOutcomeNet::PredictOutcome(const linalg::Matrix& x_raw,
                                              int treatment) {
-  Tape tape;
-  Var x = tape.Constant(x_scaler_.Apply(x_raw));
-  Var out = Head(&tape, Rep(&tape, x), treatment);
+  autodiff::TapeLease tape;
+  Var x = tape->Constant(x_scaler_.Apply(x_raw));
+  Var out = Head(tape.get(), Rep(tape.get(), x), treatment);
   return y_scaler_.InverseTransform(out.value().ColCopy(0));
 }
 
 linalg::Vector RepOutcomeNet::PredictOutcomeFromRep(const linalg::Matrix& rep,
                                                     int treatment) {
-  Tape tape;
-  Var out = Head(&tape, tape.Constant(rep), treatment);
+  autodiff::TapeLease tape;
+  Var out = Head(tape.get(), tape->ConstantView(&rep), treatment);
   return y_scaler_.InverseTransform(out.value().ColCopy(0));
 }
 
 linalg::Vector RepOutcomeNet::PredictIte(const linalg::Matrix& x_raw) {
-  Tape tape;
-  Var x = tape.Constant(x_scaler_.Apply(x_raw));
-  Var rep = Rep(&tape, x);
-  const linalg::Vector y1 = Head(&tape, rep, 1).value().ColCopy(0);
-  const linalg::Vector y0 = Head(&tape, rep, 0).value().ColCopy(0);
+  autodiff::TapeLease tape;
+  Var x = tape->Constant(x_scaler_.Apply(x_raw));
+  Var rep = Rep(tape.get(), x);
+  const linalg::Vector y1 = Head(tape.get(), rep, 1).value().ColCopy(0);
+  const linalg::Vector y0 = Head(tape.get(), rep, 0).value().ColCopy(0);
   linalg::Vector ite(y1.size());
   // Standardization means cancel in the difference; only the scale remains.
   const double scale = y_scaler_.scale();

@@ -231,13 +231,14 @@ double CerlTrainer::StageValidLoss(const StageContext& ctx) {
   // enter the selection criterion: it is exactly zero at the warm-started
   // initialization, which would make the un-adapted old model an
   // unbeatable snapshot and block adaptation entirely.
-  Tape tape;
-  Var x = tape.Constant(ctx.x_valid);
+  TapeLease lease;
+  Tape& tape = *lease;
+  Var x = tape.ConstantView(&ctx.x_valid);
   causal::FactualForward vfwd = causal::BuildFactualLoss(
       net, &tape, x, ctx.split->valid.t, ctx.y_valid);
   double loss = vfwd.loss.scalar();
   if (ctx.use_memory) {
-    Var mem_rep = tape.Constant(memory_.reps());
+    Var mem_rep = tape.ConstantView(&memory_.reps());
     Var mem_mapped = phi->Forward(&tape, mem_rep);
     std::vector<int> idx_t, idx_c;
     linalg::Vector y_t, y_c;
@@ -296,7 +297,7 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   // live in train::TrainLoop, which assembles the row gathers of x_train
   // and old_reps_train. Scalar/memory gathers and the factual/memory split
   // land in step-reused scratch, and the Sinkhorn workspaces (owned here,
-  // next to the loop's persistent tapes, pooled by the global
+  // next to the training loop, pooled by the global
   // treated/control split) warm-start the balancing duals from the
   // previous step with the same split.
   std::vector<int> batch_t;
@@ -426,12 +427,6 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
       causal::MakeLoopOptions(stage_train,
                               "cerl stage " + std::to_string(ctx->stage)),
       ctx->params, &loop_rng);
-  // Tape pooling follows the new-data treated/control split (the memory
-  // split is drawn inside the loss and cannot be keyed ahead of time; its
-  // few shape-varying nodes re-record in place).
-  loop.SetBatchShapeKey([&train](train::IndexSpan idx) {
-    return causal::TreatedSplitShapeKey(train.t, idx);
-  });
   return loop.Run(train.num_units(), {&ctx->x_train, &ctx->old_reps_train},
                   batch_loss, valid_loss_fn);
 }

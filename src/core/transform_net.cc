@@ -28,8 +28,8 @@ Var TransformNet::Forward(Tape* tape, Var rep) {
 }
 
 linalg::Matrix TransformNet::Apply(const linalg::Matrix& reps) {
-  Tape tape;
-  return Forward(&tape, tape.Constant(reps)).value();
+  autodiff::TapeLease tape;  // per-thread retained tape, not one per call
+  return Forward(tape.get(), tape->ConstantView(&reps)).value();
 }
 
 std::vector<Parameter*> TransformNet::Parameters() {

@@ -1,8 +1,13 @@
 // General matrix multiply with optional operand transposes:
 //   C = alpha * op(A) * op(B) + beta * C
-// Implemented as a cache-blocked kernel that runs on the calling thread. This
-// is the performance-critical primitive behind all neural-network training in
-// the repository.
+// One register-tiled kernel (simd::KernelSet::gemm) that runs on the calling
+// thread: each C tile stays in registers across the whole k range and is
+// stored once, op(A) is read in place through its strides (no pack, also
+// when transposed), and only a transposed B is packed, into a retained
+// per-thread buffer. There is no separate zero-fill or scale pass over C:
+// beta == 0 starts the tile at +0.0 without reading C. This is the
+// performance-critical primitive behind all neural-network training in the
+// repository; simd.h fixes its per-element arithmetic.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -13,7 +18,8 @@ namespace cerl::linalg {
 enum class Trans { kNo, kYes };
 
 /// C = alpha * op(A) * op(B) + beta * C. Shapes are checked; C must already
-/// have the result shape.
+/// have the result shape. With beta == 0, C's previous contents are never
+/// read (NaN or stale values are simply overwritten).
 void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
           const Matrix& b, double beta, Matrix* c);
 

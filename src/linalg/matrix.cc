@@ -18,13 +18,14 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::FromData(int rows, int cols, std::vector<double> data) {
+Matrix Matrix::FromData(int rows, int cols,
+                        const std::vector<double>& data) {
   CERL_CHECK_EQ(static_cast<int64_t>(rows) * cols,
                 static_cast<int64_t>(data.size()));
   Matrix m;
   m.rows_ = rows;
   m.cols_ = cols;
-  m.data_ = std::move(data);
+  m.data_.assign(data.begin(), data.end());
   return m;
 }
 
@@ -81,7 +82,7 @@ Matrix Matrix::GatherRows(const int* indices, int n) const {
 
 void Matrix::GatherRowsInto(const int* indices, int n, Matrix* out) const {
   CERL_CHECK_GE(n, 0);
-  if (out->rows() != n || out->cols() != cols_) *out = Matrix(n, cols_);
+  out->Resize(n, cols_);
   for (int i = 0; i < n; ++i) {
     const int r = indices[i];
     CERL_CHECK(r >= 0 && r < rows_);

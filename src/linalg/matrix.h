@@ -6,7 +6,10 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -32,8 +35,8 @@ class Matrix {
   /// Builds from nested initializer list; all rows must be equal length.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  /// Builds a rows x cols matrix adopting `data` (size must match).
-  static Matrix FromData(int rows, int cols, std::vector<double> data);
+  /// Builds a rows x cols matrix copying `data` (size must match).
+  static Matrix FromData(int rows, int cols, const std::vector<double>& data);
 
   /// n x n identity.
   static Matrix Identity(int n);
@@ -83,23 +86,31 @@ class Matrix {
   Matrix GatherRows(const std::vector<int>& indices) const;
   Matrix GatherRows(const int* indices, int n) const;
 
-  /// Gathers rows into `out`, reusing its storage when the shape already
-  /// matches (the zero-allocation path for minibatch assembly).
+  /// Gathers rows into `out`, reusing its storage whenever its capacity
+  /// suffices (the zero-allocation path for minibatch assembly).
   void GatherRowsInto(const int* indices, int n, Matrix* out) const;
 
   /// Reshapes to rows x cols in place. The heap buffer is reused whenever
-  /// the new element count fits the capacity already acquired
-  /// (std::vector::resize allocates only on growth), which is what the
-  /// arena-style consumers (SinkhornWorkspace, loss-builder scratch) rely on
-  /// for zero-churn steady states. Element contents are unspecified after a
-  /// shape-changing resize; overwrite fully before reading.
+  /// the new element count fits the capacity already acquired, which is
+  /// what the arena-style consumers (autodiff::Tape, SinkhornWorkspace,
+  /// loss-builder scratch) rely on for zero-churn steady states; growth
+  /// beyond it allocates exactly the new size. Nothing is written: element
+  /// contents are unspecified after a shape-changing resize (new elements
+  /// are uninitialized, not zero), so overwrite fully before reading.
   void Resize(int rows, int cols) {
     CERL_CHECK_GE(rows, 0);
     CERL_CHECK_GE(cols, 0);
+    const size_t n = static_cast<size_t>(rows) * cols;
+    // Growth drops the old contents first so the reallocation neither
+    // copies them nor over-allocates.
+    if (n > data_.capacity()) Storage().swap(data_);
     rows_ = rows;
     cols_ = cols;
-    data_.resize(static_cast<size_t>(rows) * cols);
+    data_.resize(n);
   }
+
+  /// Elements the buffer holds without reallocating.
+  int64_t capacity() const { return static_cast<int64_t>(data_.capacity()); }
 
   /// Elementwise in-place operations.
   void Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
@@ -128,9 +139,34 @@ class Matrix {
   }
 
  private:
+  // std::allocator that default-initializes instead of value-initializing,
+  // so Storage::resize() leaves new elements uninitialized rather than
+  // writing zeros over them (see Resize). Explicit fills (vector(n, v),
+  // assign) still construct with the given value.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using Storage = std::vector<double, DefaultInitAllocator<double>>;
+
   int rows_;
   int cols_;
-  std::vector<double> data_;
+  Storage data_;
 };
 
 }  // namespace cerl::linalg

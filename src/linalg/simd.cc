@@ -1,8 +1,8 @@
 // Scalar kernel table and one-time dispatch resolution. The scalar bodies
-// are the former inline loops of ops.cc / gemm.cc / optim.cc moved here
-// verbatim: they define the reference arithmetic (order and operation
-// shape) that the AVX2 table either matches bitwise (vec_exp tail handling)
-// or tracks within documented FMA rounding (row_dot, gemm, adam). This file
+// are the former inline loops of ops.cc / gemm.cc / optim.cc: they define
+// the reference arithmetic (order and operation shape) that the AVX2 table
+// either matches bitwise (vec_exp tail handling) or tracks within
+// documented FMA rounding (row_dot, gemm, adam). This file
 // stays at the SSE2 baseline so the compiler cannot contract multiply-adds
 // — the scalar table is FMA-free by construction.
 #include "linalg/simd.h"
@@ -79,59 +79,40 @@ double RowDotScalar(const double* row, const double* x, int n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-void GemmRow2Scalar(double alpha, const double* arow0, const double* arow1,
-                    const double* bpanel, int kw, int nw, double* crow0,
-                    double* crow1) {
-  int k = 0;
-  for (; k + 4 <= kw; k += 4) {
-    const double a00 = alpha * arow0[k];
-    const double a01 = alpha * arow0[k + 1];
-    const double a02 = alpha * arow0[k + 2];
-    const double a03 = alpha * arow0[k + 3];
-    const double a10 = alpha * arow1[k];
-    const double a11 = alpha * arow1[k + 1];
-    const double a12 = alpha * arow1[k + 2];
-    const double a13 = alpha * arow1[k + 3];
-    const double* b0 = bpanel + static_cast<size_t>(k) * nw;
-    const double* b1 = b0 + nw;
-    const double* b2 = b1 + nw;
-    const double* b3 = b2 + nw;
-    for (int n = 0; n < nw; ++n) {
-      crow0[n] += a00 * b0[n] + a01 * b1[n] + a02 * b2[n] + a03 * b3[n];
-      crow1[n] += a10 * b0[n] + a11 * b1[n] + a12 * b2[n] + a13 * b3[n];
+void GemmScalar(int m, int n, int k, double alpha, const double* a,
+                int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
+                double beta, double* c, int64_t ldc) {
+  // The gemm contract's plain formula for every column: a C row is
+  // initialized from beta, then accumulates one rounded
+  // ((a0*b0 + a1*b1) + a2*b2) + a3*b3 per group of four k and one a*b per
+  // remainder k, with a = alpha * op(A).
+  for (int i = 0; i < m; ++i) {
+    const double* ai = a + i * a_rs;
+    double* ci = c + i * ldc;
+    if (beta == 0.0) {
+      for (int j = 0; j < n; ++j) ci[j] = 0.0;
+    } else if (beta != 1.0) {
+      for (int j = 0; j < n; ++j) ci[j] = beta * ci[j];
     }
-  }
-  for (; k < kw; ++k) {
-    const double a0k = alpha * arow0[k];
-    const double a1k = alpha * arow1[k];
-    const double* brow = bpanel + static_cast<size_t>(k) * nw;
-    for (int n = 0; n < nw; ++n) {
-      crow0[n] += a0k * brow[n];
-      crow1[n] += a1k * brow[n];
+    int p = 0;
+    for (; p + 4 <= k; p += 4) {
+      const double a0 = alpha * ai[p * a_cs];
+      const double a1 = alpha * ai[(p + 1) * a_cs];
+      const double a2 = alpha * ai[(p + 2) * a_cs];
+      const double a3 = alpha * ai[(p + 3) * a_cs];
+      const double* b0 = b + p * ldb;
+      const double* b1 = b0 + ldb;
+      const double* b2 = b1 + ldb;
+      const double* b3 = b2 + ldb;
+      for (int j = 0; j < n; ++j) {
+        ci[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+      }
     }
-  }
-}
-
-void GemmRow1Scalar(double alpha, const double* arow, const double* bpanel,
-                    int kw, int nw, double* crow) {
-  int k = 0;
-  for (; k + 4 <= kw; k += 4) {
-    const double a0 = alpha * arow[k];
-    const double a1 = alpha * arow[k + 1];
-    const double a2 = alpha * arow[k + 2];
-    const double a3 = alpha * arow[k + 3];
-    const double* b0 = bpanel + static_cast<size_t>(k) * nw;
-    const double* b1 = b0 + nw;
-    const double* b2 = b1 + nw;
-    const double* b3 = b2 + nw;
-    for (int n = 0; n < nw; ++n) {
-      crow[n] += a0 * b0[n] + a1 * b1[n] + a2 * b2[n] + a3 * b3[n];
+    for (; p < k; ++p) {
+      const double ap = alpha * ai[p * a_cs];
+      const double* bp = b + p * ldb;
+      for (int j = 0; j < n; ++j) ci[j] += ap * bp[j];
     }
-  }
-  for (; k < kw; ++k) {
-    const double ak = alpha * arow[k];
-    const double* brow = bpanel + static_cast<size_t>(k) * nw;
-    for (int n = 0; n < nw; ++n) crow[n] += ak * brow[n];
   }
 }
 
@@ -302,7 +283,7 @@ void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
 
 constexpr KernelSet kScalarSet = {
     "scalar",        VecExpScalar,      RowDotScalar,
-    GemmRow2Scalar,  GemmRow1Scalar,    AdamUpdateScalar,
+    GemmScalar,      AdamUpdateScalar,
     VecAccumScalar,  VecAxpyScalar,     VecMulAccumScalar,
     VecAddScalarScalar, EwBackwardScalar,
     VecAddScalarKernel, VecSubScalar,   VecMulScalar,

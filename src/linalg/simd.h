@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD kernel layer for the per-element hot paths:
-// the batch exponential (VecExp), the GEMM register-blocked microkernels,
+// the batch exponential (VecExp), the register-tiled GEMM,
 // the MatVecInto row reduction, the Adam parameter update, and the
 // elementwise accumulation/forward kernels of the training path.
 //
@@ -22,10 +22,11 @@
 //    that order and fuses each multiply-add (FMA), so scalar and AVX2
 //    differ by the usual FMA rounding (~1 ulp per term); within one kernel
 //    set the result is exact and split-independent.
-//  - gemm_row2 / gemm_row1 and adam_update are elementwise/independent per
-//    output and keep the scalar expression shape; the AVX2 versions use
-//    FMA, so they track the scalar results to a few ulp per accumulation
-//    (tests document the tolerance).
+//  - gemm and adam_update are elementwise/independent per output and keep
+//    the scalar expression shape; the AVX2 versions use FMA, so they track
+//    the scalar results to a few ulp per accumulation (tests document the
+//    tolerance). gemm's exact per-element formula is spelled out at its
+//    table entry.
 #pragma once
 
 #include <cstdint>
@@ -73,15 +74,23 @@ struct KernelSet {
   /// over c += 4, remainder into s0, combined as (s0+s1)+(s2+s3).
   double (*row_dot)(const double* row, const double* x, int n);
 
-  /// GEMM microkernel, two C rows: crow{0,1}[0..nw) += alpha * arow{0,1} ·
-  /// bpanel with k unrolled by 4 (bpanel is kw x nw row-major).
-  void (*gemm_row2)(double alpha, const double* arow0, const double* arow1,
-                    const double* bpanel, int kw, int nw, double* crow0,
-                    double* crow1);
-
-  /// GEMM microkernel, single C row (the m-remainder).
-  void (*gemm_row1)(double alpha, const double* arow, const double* bpanel,
-                    int kw, int nw, double* crow);
+  /// C = alpha * op(A) * op(B) + beta * C over an m x n block of C
+  /// (row stride ldc), with op(A)(i, p) = a[i * a_rs + p * a_cs] read in
+  /// place through its strides (so a transposed A costs nothing) and
+  /// op(B)(p, j) = b[p * ldb + j]. Every element of C is computed as:
+  ///   c = +0.0 if beta == 0 (C is not read), C if beta == 1, else beta * C;
+  ///   for each group of four k, in k order, with a_p = alpha * op(A)(i, p):
+  ///     vector columns: t = a0*b0; t = fma(a1, b1, t); t = fma(a2, b2, t);
+  ///                     t = fma(a3, b3, t); c = c + t
+  ///     plain columns:  c = c + (((a0*b0 + a1*b1) + a2*b2) + a3*b3)
+  ///   for each of the k % 4 remaining k: vector columns c = fma(a, b, c),
+  ///   plain columns c = c + a*b.
+  /// In the scalar table every column is plain; in the AVX2 table the last
+  /// n % 4 columns are plain and the rest are vector columns. The result is
+  /// independent of any tiling, and k == 0 applies only the beta step.
+  void (*gemm)(int m, int n, int k, double alpha, const double* a,
+               int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
+               double beta, double* c, int64_t ldc);
 
   /// One Adam update over n contiguous elements (bias-corrected step with
   /// optional decoupled weight decay). Elementwise, so any range split

@@ -8,8 +8,8 @@
 // _mm256_fmadd_pd is written, never behind the compiler's back. That is
 // what makes the contracts in simd.h checkable — vec_exp's masked tail is
 // the same vector arithmetic as its body (position-uniform), row_dot's
-// scalar tail is a genuine mul+add, and the scalar epilogues of the
-// gemm/adam kernels stay plain mul+add.
+// scalar tail is a genuine mul+add, and gemm's n % 4 tail columns stay
+// plain mul+add.
 #include "linalg/simd.h"
 
 #if defined(CERL_HAVE_AVX2_KERNELS)
@@ -116,117 +116,170 @@ double RowDotAvx2(const double* row, const double* x, int n) {
   return (s0 + s[1]) + (s[2] + s[3]);
 }
 
-// ---- GEMM microkernels ---------------------------------------------------
+// ---- GEMM ----------------------------------------------------------------
+//
+// A MR x 4*NV tile of C lives in registers for the whole k range: it is
+// initialized once from beta, accumulates every k group, and is stored
+// once. op(A) is read in place through its strides (a transposed A needs no
+// pack) and op(B) row by row. Per element this is exactly the gemm contract
+// in simd.h: t = a0*b0, FMA-chained with a1*b1, a2*b2, a3*b3, then c + t per
+// group of four k; fma(a, b, c) per remainder k. The n % 4 tail columns use
+// the plain mul/add chain (GemmPlainColumns).
 
-void GemmRow2Avx2(double alpha, const double* arow0, const double* arow1,
-                  const double* bpanel, int kw, int nw, double* crow0,
-                  double* crow1) {
-  int k = 0;
-  for (; k + 4 <= kw; k += 4) {
-    const double a00 = alpha * arow0[k];
-    const double a01 = alpha * arow0[k + 1];
-    const double a02 = alpha * arow0[k + 2];
-    const double a03 = alpha * arow0[k + 3];
-    const double a10 = alpha * arow1[k];
-    const double a11 = alpha * arow1[k + 1];
-    const double a12 = alpha * arow1[k + 2];
-    const double a13 = alpha * arow1[k + 3];
-    const __m256d a00v = _mm256_set1_pd(a00);
-    const __m256d a01v = _mm256_set1_pd(a01);
-    const __m256d a02v = _mm256_set1_pd(a02);
-    const __m256d a03v = _mm256_set1_pd(a03);
-    const __m256d a10v = _mm256_set1_pd(a10);
-    const __m256d a11v = _mm256_set1_pd(a11);
-    const __m256d a12v = _mm256_set1_pd(a12);
-    const __m256d a13v = _mm256_set1_pd(a13);
-    const double* b0 = bpanel + static_cast<size_t>(k) * nw;
-    const double* b1 = b0 + nw;
-    const double* b2 = b1 + nw;
-    const double* b3 = b2 + nw;
-    int n = 0;
-    for (; n + 4 <= nw; n += 4) {
-      const __m256d b0v = _mm256_loadu_pd(b0 + n);
-      const __m256d b1v = _mm256_loadu_pd(b1 + n);
-      const __m256d b2v = _mm256_loadu_pd(b2 + n);
-      const __m256d b3v = _mm256_loadu_pd(b3 + n);
-      __m256d t0 = _mm256_mul_pd(a00v, b0v);
-      t0 = _mm256_fmadd_pd(a01v, b1v, t0);
-      t0 = _mm256_fmadd_pd(a02v, b2v, t0);
-      t0 = _mm256_fmadd_pd(a03v, b3v, t0);
-      _mm256_storeu_pd(crow0 + n,
-                       _mm256_add_pd(_mm256_loadu_pd(crow0 + n), t0));
-      __m256d t1 = _mm256_mul_pd(a10v, b0v);
-      t1 = _mm256_fmadd_pd(a11v, b1v, t1);
-      t1 = _mm256_fmadd_pd(a12v, b2v, t1);
-      t1 = _mm256_fmadd_pd(a13v, b3v, t1);
-      _mm256_storeu_pd(crow1 + n,
-                       _mm256_add_pd(_mm256_loadu_pd(crow1 + n), t1));
-    }
-    for (; n < nw; ++n) {
-      crow0[n] += a00 * b0[n] + a01 * b1[n] + a02 * b2[n] + a03 * b3[n];
-      crow1[n] += a10 * b0[n] + a11 * b1[n] + a12 * b2[n] + a13 * b3[n];
+// alpha * op(A)(r, p) broadcast to every lane; alpha == 1 skips the exact
+// multiply.
+template <bool kAlphaOne>
+inline __m256d LoadA(const double* p, __m256d alpha_v) {
+  const __m256d x = _mm256_broadcast_sd(p);
+  return kAlphaOne ? x : _mm256_mul_pd(alpha_v, x);
+}
+
+template <int MR, int NV, bool kAlphaOne>
+inline void GemmTileAvx2(int k, double alpha, const double* a, int64_t a_rs,
+                         int64_t a_cs, const double* b, int64_t ldb,
+                         double beta, double* c, int64_t ldc) {
+  const __m256d alpha_v = _mm256_set1_pd(alpha);
+  __m256d acc[MR][NV];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      if (beta == 0.0) {
+        acc[r][v] = _mm256_setzero_pd();
+      } else {
+        acc[r][v] = _mm256_loadu_pd(c + r * ldc + 4 * v);
+        if (beta != 1.0) {
+          acc[r][v] = _mm256_mul_pd(_mm256_set1_pd(beta), acc[r][v]);
+        }
+      }
     }
   }
-  for (; k < kw; ++k) {
-    const double a0k = alpha * arow0[k];
-    const double a1k = alpha * arow1[k];
-    const __m256d a0v = _mm256_set1_pd(a0k);
-    const __m256d a1v = _mm256_set1_pd(a1k);
-    const double* brow = bpanel + static_cast<size_t>(k) * nw;
-    int n = 0;
-    for (; n + 4 <= nw; n += 4) {
-      const __m256d bv = _mm256_loadu_pd(brow + n);
-      _mm256_storeu_pd(
-          crow0 + n, _mm256_fmadd_pd(a0v, bv, _mm256_loadu_pd(crow0 + n)));
-      _mm256_storeu_pd(
-          crow1 + n, _mm256_fmadd_pd(a1v, bv, _mm256_loadu_pd(crow1 + n)));
+  int p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const double* b0 = b + p * ldb;
+    const double* b1 = b0 + ldb;
+    const double* b2 = b1 + ldb;
+    const double* b3 = b2 + ldb;
+    for (int r = 0; r < MR; ++r) {
+      const double* ar = a + r * a_rs + p * a_cs;
+      const __m256d a0 = LoadA<kAlphaOne>(ar, alpha_v);
+      const __m256d a1 = LoadA<kAlphaOne>(ar + a_cs, alpha_v);
+      const __m256d a2 = LoadA<kAlphaOne>(ar + 2 * a_cs, alpha_v);
+      const __m256d a3 = LoadA<kAlphaOne>(ar + 3 * a_cs, alpha_v);
+      for (int v = 0; v < NV; ++v) {
+        __m256d t = _mm256_mul_pd(a0, _mm256_loadu_pd(b0 + 4 * v));
+        t = _mm256_fmadd_pd(a1, _mm256_loadu_pd(b1 + 4 * v), t);
+        t = _mm256_fmadd_pd(a2, _mm256_loadu_pd(b2 + 4 * v), t);
+        t = _mm256_fmadd_pd(a3, _mm256_loadu_pd(b3 + 4 * v), t);
+        acc[r][v] = _mm256_add_pd(acc[r][v], t);
+      }
     }
-    for (; n < nw; ++n) {
-      crow0[n] += a0k * brow[n];
-      crow1[n] += a1k * brow[n];
+  }
+  for (; p < k; ++p) {
+    const double* bp = b + p * ldb;
+    for (int r = 0; r < MR; ++r) {
+      const __m256d ap = LoadA<kAlphaOne>(a + r * a_rs + p * a_cs, alpha_v);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] =
+            _mm256_fmadd_pd(ap, _mm256_loadu_pd(bp + 4 * v), acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_pd(c + r * ldc + 4 * v, acc[r][v]);
     }
   }
 }
 
-void GemmRow1Avx2(double alpha, const double* arow, const double* bpanel,
-                  int kw, int nw, double* crow) {
-  int k = 0;
-  for (; k + 4 <= kw; k += 4) {
-    const double a0 = alpha * arow[k];
-    const double a1 = alpha * arow[k + 1];
-    const double a2 = alpha * arow[k + 2];
-    const double a3 = alpha * arow[k + 3];
-    const __m256d a0v = _mm256_set1_pd(a0);
-    const __m256d a1v = _mm256_set1_pd(a1);
-    const __m256d a2v = _mm256_set1_pd(a2);
-    const __m256d a3v = _mm256_set1_pd(a3);
-    const double* b0 = bpanel + static_cast<size_t>(k) * nw;
-    const double* b1 = b0 + nw;
-    const double* b2 = b1 + nw;
-    const double* b3 = b2 + nw;
-    int n = 0;
-    for (; n + 4 <= nw; n += 4) {
-      __m256d t = _mm256_mul_pd(a0v, _mm256_loadu_pd(b0 + n));
-      t = _mm256_fmadd_pd(a1v, _mm256_loadu_pd(b1 + n), t);
-      t = _mm256_fmadd_pd(a2v, _mm256_loadu_pd(b2 + n), t);
-      t = _mm256_fmadd_pd(a3v, _mm256_loadu_pd(b3 + n), t);
-      _mm256_storeu_pd(crow + n, _mm256_add_pd(_mm256_loadu_pd(crow + n), t));
+// Columns [j0, j1) of MR C rows with the plain mul/add formula (this TU is
+// built with -ffp-contract=off, so nothing here fuses). The MR rows of a
+// column accumulate side by side for instruction-level parallelism.
+template <int MR, bool kAlphaOne>
+void GemmPlainColumns(int j0, int j1, int k, double alpha, const double* a,
+                      int64_t a_rs, int64_t a_cs, const double* b,
+                      int64_t ldb, double beta, double* c, int64_t ldc) {
+  auto scaled = [alpha](double x) { return kAlphaOne ? x : alpha * x; };
+  for (int j = j0; j < j1; ++j) {
+    double acc[MR];
+    for (int r = 0; r < MR; ++r) {
+      const double cr = beta == 0.0 ? 0.0 : c[r * ldc + j];
+      acc[r] = beta == 0.0 || beta == 1.0 ? cr : beta * cr;
     }
-    for (; n < nw; ++n) {
-      crow[n] += a0 * b0[n] + a1 * b1[n] + a2 * b2[n] + a3 * b3[n];
+    int p = 0;
+    for (; p + 4 <= k; p += 4) {
+      const double* b0 = b + p * ldb + j;
+      for (int r = 0; r < MR; ++r) {
+        const double* ar = a + r * a_rs + p * a_cs;
+        acc[r] += scaled(ar[0]) * b0[0] + scaled(ar[a_cs]) * b0[ldb] +
+                  scaled(ar[2 * a_cs]) * b0[2 * ldb] +
+                  scaled(ar[3 * a_cs]) * b0[3 * ldb];
+      }
     }
+    for (; p < k; ++p) {
+      const double bp = b[p * ldb + j];
+      for (int r = 0; r < MR; ++r) {
+        acc[r] += scaled(a[r * a_rs + p * a_cs]) * bp;
+      }
+    }
+    for (int r = 0; r < MR; ++r) c[r * ldc + j] = acc[r];
   }
-  for (; k < kw; ++k) {
-    const double ak = alpha * arow[k];
-    const __m256d av = _mm256_set1_pd(ak);
-    const double* brow = bpanel + static_cast<size_t>(k) * nw;
-    int n = 0;
-    for (; n + 4 <= nw; n += 4) {
-      _mm256_storeu_pd(crow + n,
-                       _mm256_fmadd_pd(av, _mm256_loadu_pd(brow + n),
-                                       _mm256_loadu_pd(crow + n)));
-    }
-    for (; n < nw; ++n) crow[n] += ak * brow[n];
+}
+
+// MR rows of C: 8-wide register tiles, one 4-wide tile, then the plain
+// n % 4 tail.
+template <int MR, bool kAlphaOne>
+void GemmRowsAvx2(int n, int k, double alpha, const double* a, int64_t a_rs,
+                  int64_t a_cs, const double* b, int64_t ldb, double beta,
+                  double* c, int64_t ldc) {
+  const int n4 = n & ~3;
+  int j = 0;
+  for (; j + 8 <= n4; j += 8) {
+    GemmTileAvx2<MR, 2, kAlphaOne>(k, alpha, a, a_rs, a_cs, b + j, ldb, beta,
+                                   c + j, ldc);
+  }
+  if (j < n4) {
+    GemmTileAvx2<MR, 1, kAlphaOne>(k, alpha, a, a_rs, a_cs, b + j, ldb, beta,
+                                   c + j, ldc);
+  }
+  if (n4 < n) {
+    GemmPlainColumns<MR, kAlphaOne>(n4, n, k, alpha, a, a_rs, a_cs, b, ldb,
+                                    beta, c, ldc);
+  }
+}
+
+template <bool kAlphaOne>
+void GemmAvx2Impl(int m, int n, int k, double alpha, const double* a,
+                  int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
+                  double beta, double* c, int64_t ldc) {
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    GemmRowsAvx2<4, kAlphaOne>(n, k, alpha, a + i * a_rs, a_rs, a_cs, b, ldb,
+                               beta, c + i * ldc, ldc);
+  }
+  const double* ai = a + i * a_rs;
+  double* ci = c + i * ldc;
+  switch (m - i) {
+    case 3:
+      GemmRowsAvx2<3, kAlphaOne>(n, k, alpha, ai, a_rs, a_cs, b, ldb, beta,
+                                 ci, ldc);
+      break;
+    case 2:
+      GemmRowsAvx2<2, kAlphaOne>(n, k, alpha, ai, a_rs, a_cs, b, ldb, beta,
+                                 ci, ldc);
+      break;
+    case 1:
+      GemmRowsAvx2<1, kAlphaOne>(n, k, alpha, ai, a_rs, a_cs, b, ldb, beta,
+                                 ci, ldc);
+      break;
+  }
+}
+
+void GemmAvx2(int m, int n, int k, double alpha, const double* a,
+              int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
+              double beta, double* c, int64_t ldc) {
+  if (alpha == 1.0) {
+    GemmAvx2Impl<true>(m, n, k, alpha, a, a_rs, a_cs, b, ldb, beta, c, ldc);
+  } else {
+    GemmAvx2Impl<false>(m, n, k, alpha, a, a_rs, a_cs, b, ldb, beta, c, ldc);
   }
 }
 
@@ -695,7 +748,7 @@ void EwForwardAvx2(int op, const double* x, double* out, int64_t n) {
 
 constexpr KernelSet kAvx2Set = {
     "avx2",       VecExpAvx2,      RowDotAvx2,
-    GemmRow2Avx2, GemmRow1Avx2,    AdamUpdateAvx2,
+    GemmAvx2,     AdamUpdateAvx2,
     VecAccumAvx2, VecAxpyAvx2,     VecMulAccumAvx2,
     VecAddScalarAvx2, EwBackwardAvx2,
     VecAddAvx2,   VecSubAvx2,      VecMulAvx2,

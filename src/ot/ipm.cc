@@ -47,7 +47,7 @@ void PairwiseSqDistBackward(Tape* t, int self, const Tape::BackwardCtx& ctx) {
     Matrix& gb = t->GradRef(ctx.b);
     linalg::Gemm(Trans::kYes, Trans::kNo, -2.0, g, av, 1.0, &gb);
     // Column sums of dC land in a retained scratch vector (same
-    // thread-local reuse pattern as the Gemm pack panels).
+    // thread-local reuse pattern as Gemm's transposed-B pack buffer).
     static thread_local std::vector<double> colsum;
     colsum.assign(n2, 0.0);
     for (int i = 0; i < n1; ++i) ks.vec_accum(g.row(i), colsum.data(), n2);

@@ -27,7 +27,7 @@ autodiff::Var PairwiseSquaredDistancesVar(autodiff::Var a, autodiff::Var b);
 /// VIEW of the workspace's plan buffer instead of a fresh Matrix copy. The
 /// workspace must therefore outlive the tape pass and must not be re-solved
 /// until Backward has run (one workspace per loss builder, owned next to
-/// the persistent tapes, satisfies this by construction).
+/// its training loop, satisfies this by construction).
 autodiff::Var WassersteinPenalty(autodiff::Var rep_treated,
                                  autodiff::Var rep_control,
                                  const SinkhornConfig& config,

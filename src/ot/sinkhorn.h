@@ -80,8 +80,8 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
 /// the scaling duals u/v and the iteration scratch. Buffers grow to the
 /// high-water shape and are then reused; the retained duals double as the
 /// warm start for the next solve of the same shape. Not thread-safe: one
-/// workspace per concurrent solver (the trainers own one next to their
-/// persistent tapes).
+/// workspace per concurrent solver (the trainers own theirs next to their
+/// training loops).
 class SinkhornWorkspace {
  public:
   SinkhornWorkspace() = default;

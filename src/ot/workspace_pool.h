@@ -9,7 +9,7 @@
 // same split, so warm starts fire across interleaved shapes.
 //
 // Same threading contract as the workspace itself: one pool per loss
-// builder, owned next to the persistent tapes. Not thread-safe.
+// builder, owned next to its training loop. Not thread-safe.
 #pragma once
 
 #include <cstdint>

@@ -8,12 +8,11 @@
 // matrices, with no Tape, no nodes, and no allocations after warm-up
 // (asserted via arena_allocations() in tests/serve_test.cc).
 //
-// Batches are processed in 64-row blocks. 64 == the Gemm row-panel size
-// (linalg/gemm.cc kBlockM), so block boundaries coincide with the panel
-// boundaries a full-batch Gemm would use: every output row is produced by
-// the same microkernel call shape in the same accumulation order, which is
-// what makes the blocked batched forward BITWISE equal to the trainer's
-// single full-batch tape forward.
+// Batches are processed in 64-row blocks. Gemm computes every output row
+// with the same per-element formula whatever the row count or tiling (see
+// linalg/simd.h), so a block's rows come out exactly as in a full-batch
+// Gemm, which is what makes the blocked batched forward BITWISE equal to
+// the trainer's single full-batch tape forward.
 //
 // One predictor per reader thread (it owns mutable scratch); the snapshot
 // is shared and immutable, so any number of predictors evaluate the same
@@ -29,7 +28,7 @@ namespace cerl::serve {
 
 class BatchPredictor {
  public:
-  /// Gemm's row-panel size (kBlockM); see file comment.
+  /// Rows per forward block; see file comment.
   static constexpr int kRowBlock = 64;
 
   /// ITE per row of x_raw (raw covariates, n x input_dim), original outcome

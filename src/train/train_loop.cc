@@ -2,24 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 
 #include "nn/optim.h"
 #include "util/check.h"
 #include "util/status.h"
-#include "util/keyed_pool.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace cerl::train {
-
-namespace {
-// Persistent tapes retained per batch-shape key. Two is enough for the
-// default key (full + tail batch); shape-refined keys (treated/control
-// splits) rotate through a few more before reuse kicks in.
-constexpr int kTapePoolCapacity = 8;
-}  // namespace
 
 std::vector<linalg::Matrix> SnapshotValues(
     const std::vector<Parameter*>& params) {
@@ -41,10 +32,6 @@ TrainLoop::TrainLoop(const LoopOptions& options,
       params_(std::move(params)),
       external_rng_(rng),
       owned_rng_(options.seed) {}
-
-void TrainLoop::SetBatchShapeKey(BatchShapeKeyFn fn) {
-  shape_key_fn_ = std::move(fn);
-}
 
 TrainStats TrainLoop::Run(int n, const BatchLossFn& batch_loss,
                           const ValidLossFn& valid_loss) {
@@ -70,15 +57,11 @@ TrainStats TrainLoop::Run(
   nn::Adam optimizer(params_, options_.learning_rate);
   const int batch = std::min(options_.batch_size, n);
 
-  // One persistent tape per distinct batch shape: the graph topology is
-  // fixed for a fixed shape key, so Reset() + re-record reuses every node
-  // buffer and the steady-state step allocates nothing. By default the key
-  // is the batch size — full batches share one tape, the tail batch (n %
-  // batch) gets its own so it does not thrash the full-batch arena once per
-  // epoch. A caller-provided shape key (SetBatchShapeKey) refines this so
-  // content-dependent topologies (treated/control splits) each keep a
-  // warmed arena too.
-  KeyedLruPool<Tape> tapes(kTapePoolCapacity);
+  // One retained tape for every step: Reset() + re-record reshapes each
+  // node buffer in place, so once every arena slot has seen its largest
+  // shape (full vs tail batch, varying treated/control splits) a step
+  // allocates nothing. The validation callback leases its own tape.
+  autodiff::TapeLease tape;
 
   // The batch's gathered rows, one matrix per source. The buffer is stable
   // for the whole step, so losses may alias it via ConstantView.
@@ -101,13 +84,8 @@ TrainStats TrainLoop::Run(
       for (size_t s = 0; s < gather_sources.size(); ++s) {
         gather_sources[s]->GatherRowsInto(span.data(), count, &gathered[s]);
       }
-      const uint64_t shape_key = shape_key_fn_
-                                     ? shape_key_fn_(span)
-                                     : static_cast<uint64_t>(count);
-      Tape& tape =
-          *tapes.Acquire(shape_key, [] { return std::make_unique<Tape>(); });
-      tape.Reset();
-      Var loss = batch_loss(&tape, span, gathered);
+      tape->Reset();
+      Var loss = batch_loss(tape.get(), span, gathered);
       CERL_CHECK(loss.valid());
       // A non-finite loss must surface here, before Backward() poisons the
       // parameters: the early-stopping snapshot would otherwise silently
@@ -119,7 +97,7 @@ TrainStats TrainLoop::Run(
                                    std::to_string(stats.steps)));
       }
       optimizer.ZeroGrad();
-      tape.Backward(loss);
+      tape->Backward(loss);
       optimizer.Step();
       ++stats.steps;
       stats.samples_seen += count;

@@ -10,12 +10,11 @@
 //     minibatch matrices]) -> scalar Var, and
 //   - a validation-loss callback: () -> double.
 //
-// The loop is zero-churn in steady state: persistent tapes — pooled by
-// batch shape (by default the batch size, so full batches and the tail
-// batch each keep one; callers with shape-dependent graphs may refine the
-// key, e.g. CFR keys by the treated/control split) — are Reset() and
-// re-recorded each step, so after the first epoch no tape-node Matrix is
-// allocated. Batch indices are passed as a span of the epoch permutation
+// The loop is zero-churn in steady state: one retained tape (an
+// autodiff::TapeLease) is Reset() and re-recorded each step, and its node
+// buffers reshape in place, so once every arena slot has seen its largest
+// shape — the tail batch, each treated/control split — no tape-node Matrix
+// is allocated. Batch indices are passed as a span of the epoch permutation
 // (no per-step index vector). When the caller registers gather sources,
 // the loop gathers each batch's rows into one reused buffer before the
 // batch's forward/backward. The loop creates no thread: the gathers and
@@ -90,9 +89,9 @@ void RestoreValues(const std::vector<Parameter*>& params,
                    const std::vector<linalg::Matrix>& snapshot);
 
 /// Builds the scalar training loss for one mini-batch. The tape arrives
-/// Reset() but retains buffers from the previous step with the same batch
-/// size; `batch` spans the epoch permutation (the tail batch may be smaller
-/// than LoopOptions::batch_size but is never dropped).
+/// Reset() but retains the buffers of earlier steps; `batch` spans the
+/// epoch permutation (the tail batch may be smaller than
+/// LoopOptions::batch_size but is never dropped).
 using BatchLossFn = std::function<Var(Tape* tape, IndexSpan batch)>;
 
 /// Loss builder for the assembled-minibatch path: `gathered[s]` holds the
@@ -105,14 +104,6 @@ using GatheredBatchLossFn = std::function<Var(
 
 /// Full validation criterion used for early stopping / snapshot selection.
 using ValidLossFn = std::function<double()>;
-
-/// Optional tape-pool key for a batch: batches mapping to the same key
-/// reuse the same persistent tape. Defaults to the batch size; callers
-/// whose graph topology also depends on the batch *content* (e.g. the
-/// treated/control split) can fold that into the key so every shape finds
-/// a warmed arena. Purely a reuse hint — any key function yields identical
-/// numerics.
-using BatchShapeKeyFn = std::function<uint64_t(IndexSpan batch)>;
 
 /// Mini-batch gradient-descent driver with early stopping.
 class TrainLoop {
@@ -140,15 +131,11 @@ class TrainLoop {
                  const GatheredBatchLossFn& batch_loss,
                  const ValidLossFn& valid_loss);
 
-  /// Refines the tape-pool key (see BatchShapeKeyFn). Default: batch size.
-  void SetBatchShapeKey(BatchShapeKeyFn fn);
-
  private:
   LoopOptions options_;
   std::vector<Parameter*> params_;
   Rng* external_rng_;
   Rng owned_rng_;
-  BatchShapeKeyFn shape_key_fn_;
 };
 
 }  // namespace cerl::train

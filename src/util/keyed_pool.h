@@ -1,15 +1,14 @@
 // Bounded LRU pool of heavy reusable objects keyed by a 64-bit shape key.
 //
-// The arena pattern used throughout the hot path (autodiff::Tape,
-// ot::SinkhornWorkspace) reuses buffers only while consecutive uses share a
-// shape; heterogeneous shapes thrash a single arena. KeyedLruPool keeps a
-// small set of arenas — one per recently seen shape — so each shape finds
-// its own warmed-up instance: TrainLoop keys tapes by batch shape and the
-// loss builders key Sinkhorn workspaces by (n_treated, n_control).
+// Its one user is ot::SinkhornWorkspacePool, which keys Sinkhorn workspaces
+// by the (n_treated, n_control) split so each split finds the retained duals
+// of the last solve with the same split. There the key is part of the
+// numerics: the duals that seed a solve decide its result bits. (Tapes need
+// no such pool: autodiff::Tape reshapes its buffers in place.)
 //
 // Capacity is deliberately small (entries are scanned linearly) and the
-// pool is NOT thread-safe: it is owned by a single loss builder / loop,
-// like the arenas it stores.
+// pool is NOT thread-safe: it is owned by a single loss builder, like the
+// workspaces it stores.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +34,8 @@ class KeyedLruPool {
   /// key sets pay full cold-start allocation on every miss), otherwise a
   /// fresh instance comes from `make()` (must return std::unique_ptr<V>).
   /// Callers must therefore treat an acquired object as possibly carrying
-  /// another key's state — both arena users already do: Tape::Reset
-  /// re-checks every node's shape, and SinkhornWorkspace keys its warm
-  /// start by the problem shape itself. The returned pointer stays valid
+  /// another key's state — SinkhornWorkspace does: it keys its warm start
+  /// by the problem shape itself. The returned pointer stays valid
   /// until this entry is evicted — i.e. at least until `capacity - 1` other
   /// keys have been acquired — never merely because other hits reordered
   /// the LRU list.

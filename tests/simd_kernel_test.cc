@@ -164,35 +164,27 @@ TEST(RowDotKernelTest, Avx2MatchesScalarWithinRelativeTolerance) {
   }
 }
 
-// --- gemm microkernels ---------------------------------------------------
+// --- gemm ---------------------------------------------------------------
 
-TEST(GemmKernelTest, Avx2RowKernelsMatchScalarWithinTolerance) {
+TEST(GemmKernelTest, Avx2GemmMatchesScalarWithinTolerance) {
   if (!ActiveIsAvx2()) GTEST_SKIP() << "AVX2 table not active";
   Rng rng(19);
-  for (int kw : {1, 2, 3, 4, 5, 8, 13, 32}) {
-    for (int nw : {1, 2, 3, 4, 5, 7, 16, 33}) {
-      std::vector<double> a0 = RandomVec(&rng, kw, -1.0, 1.0);
-      std::vector<double> a1 = RandomVec(&rng, kw, -1.0, 1.0);
-      std::vector<double> bp = RandomVec(&rng, kw * nw, -1.0, 1.0);
-      std::vector<double> c0s = RandomVec(&rng, nw, -1.0, 1.0);
-      std::vector<double> c1s = c0s;
-      std::vector<double> c0v = c0s, c1v = c1s;
-      const double alpha = 1.25;
-      ScalarKernels().gemm_row2(alpha, a0.data(), a1.data(), bp.data(), kw,
-                                nw, c0s.data(), c1s.data());
-      Kernels().gemm_row2(alpha, a0.data(), a1.data(), bp.data(), kw, nw,
-                          c0v.data(), c1v.data());
-      for (int j = 0; j < nw; ++j) {
-        EXPECT_NEAR(c0s[j], c0v[j], 1e-13 * kw) << "kw=" << kw << " nw=" << nw;
-        EXPECT_NEAR(c1s[j], c1v[j], 1e-13 * kw) << "kw=" << kw << " nw=" << nw;
-      }
-      std::vector<double> crs = RandomVec(&rng, nw, -1.0, 1.0);
-      std::vector<double> crv = crs;
-      ScalarKernels().gemm_row1(alpha, a0.data(), bp.data(), kw, nw,
-                                crs.data());
-      Kernels().gemm_row1(alpha, a0.data(), bp.data(), kw, nw, crv.data());
-      for (int j = 0; j < nw; ++j) {
-        EXPECT_NEAR(crs[j], crv[j], 1e-13 * kw) << "kw=" << kw << " nw=" << nw;
+  for (int m : {1, 2, 3, 5}) {
+    for (int kw : {1, 2, 3, 4, 5, 8, 13, 32}) {
+      for (int nw : {1, 2, 3, 4, 5, 7, 16, 33}) {
+        std::vector<double> a = RandomVec(&rng, m * kw, -1.0, 1.0);
+        std::vector<double> bp = RandomVec(&rng, kw * nw, -1.0, 1.0);
+        std::vector<double> cs = RandomVec(&rng, m * nw, -1.0, 1.0);
+        std::vector<double> cv = cs;
+        const double alpha = 1.25;
+        ScalarKernels().gemm(m, nw, kw, alpha, a.data(), kw, 1, bp.data(), nw,
+                             1.0, cs.data(), nw);
+        Kernels().gemm(m, nw, kw, alpha, a.data(), kw, 1, bp.data(), nw, 1.0,
+                       cv.data(), nw);
+        for (int j = 0; j < m * nw; ++j) {
+          EXPECT_NEAR(cs[j], cv[j], 1e-13 * kw)
+              << "m=" << m << " kw=" << kw << " nw=" << nw;
+        }
       }
     }
   }

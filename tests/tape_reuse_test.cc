@@ -12,9 +12,11 @@
 #include "autodiff/composite.h"
 #include "autodiff/ops.h"
 #include "autodiff/tape.h"
+#include "causal/cfr.h"
 #include "grad_check.h"
 #include "nn/mlp.h"
 #include "nn/optim.h"
+#include "ot/ipm.h"
 #include "util/rng.h"
 
 namespace cerl::autodiff {
@@ -204,6 +206,112 @@ TEST(TapeReuseTest, SteadyStateTrainingStepAllocatesNothing) {
   for (int i = 0; i < 50; ++i) step();
   EXPECT_EQ(tape.arena_allocations(), warm)
       << "steady-state steps must not allocate tape-node matrices";
+}
+
+// Shape churn: the treated/control split of every CFR/CERL batch differs,
+// so the split-dependent nodes change shape between passes. Reshaping in
+// place within retained capacity must make the arena allocation-free once
+// both shapes have been seen, with values and gradients still bitwise equal
+// to a fresh tape's.
+TEST(TapeReuseTest, AlternatingTreatedSplitStopsAllocating) {
+  Rng rng(46);
+  causal::NetConfig config;
+  config.rep_hidden = {32};
+  config.rep_dim = 16;
+  config.head_hidden = {32};
+  causal::RepOutcomeNet net(&rng, config, /*input_dim=*/8);
+  std::vector<Parameter*> params = net.Parameters();
+
+  struct Batch {
+    Matrix x;
+    std::vector<int> t;
+    linalg::Vector y;
+  };
+  auto make_batch = [&rng](int n_treated, int n_control) {
+    Batch b;
+    const int n = n_treated + n_control;
+    b.x = RandomMatrix(&rng, n, 8);
+    b.t.assign(n, 0);
+    const std::vector<int> perm = rng.Permutation(n);  // scatter the arms
+    for (int i = 0; i < n_treated; ++i) b.t[perm[i]] = 1;
+    for (int i = 0; i < n; ++i) b.y.push_back(rng.Uniform(-1.0, 1.0));
+    return b;
+  };
+  const Batch batches[2] = {make_batch(60, 68), make_batch(70, 58)};
+  for (const Batch& b : batches) {
+    int treated = 0;
+    for (int ti : b.t) treated += ti;
+    ASSERT_TRUE(treated == 60 || treated == 70);
+  }
+
+  // One factual + pairwise-distance step; returns loss and every gradient.
+  auto step = [&](Tape* tape, const Batch& b, causal::FactualScratch* scratch,
+                  std::vector<Matrix>* grads) {
+    for (Parameter* p : params) p->ZeroGrad();
+    Var x = tape->ConstantView(&b.x);
+    causal::FactualForward fwd =
+        causal::BuildFactualLoss(&net, tape, x, b.t, b.y, scratch);
+    Var dist = ot::PairwiseSquaredDistancesVar(fwd.rep_treated,
+                                               fwd.rep_control);
+    Var loss = Add(fwd.loss, ScalarMul(Mean(dist), 0.25));
+    tape->Backward(loss);
+    grads->clear();
+    for (Parameter* p : params) grads->push_back(p->grad);
+    return loss.scalar();
+  };
+
+  Tape tape;
+  causal::FactualScratch scratch;
+  int64_t after_second = 0;
+  for (int pass = 0; pass < 8; ++pass) {
+    const Batch& b = batches[pass % 2];
+    std::vector<Matrix> fresh_grads;
+    double fresh_loss;
+    {
+      Tape fresh;
+      causal::FactualScratch fresh_scratch;
+      fresh_loss = step(&fresh, b, &fresh_scratch, &fresh_grads);
+    }
+    tape.Reset();
+    std::vector<Matrix> grads;
+    const double loss = step(&tape, b, &scratch, &grads);
+    EXPECT_EQ(loss, fresh_loss) << "pass " << pass;
+    ASSERT_EQ(grads.size(), fresh_grads.size());
+    for (size_t i = 0; i < grads.size(); ++i) {
+      ASSERT_TRUE(grads[i].SameShape(fresh_grads[i]));
+      for (int64_t e = 0; e < grads[i].size(); ++e) {
+        ASSERT_EQ(grads[i].data()[e], fresh_grads[i].data()[e])
+            << "pass " << pass << " param " << i << " element " << e;
+      }
+    }
+    if (pass == 1) after_second = tape.arena_allocations();
+    if (pass >= 2) {
+      EXPECT_EQ(tape.arena_allocations(), after_second)
+          << "pass " << pass << " reallocated on a split flip";
+    }
+  }
+  EXPECT_GT(after_second, 0);
+}
+
+// Leases nest LIFO on one thread: each nesting level gets its own tape, and
+// a released tape comes back empty (Reset) to the next lease.
+TEST(TapeReuseTest, NestedLeasesGetDistinctResetTapes) {
+  Tape* outer_tape = nullptr;
+  {
+    TapeLease outer;
+    outer_tape = outer.get();
+    Parameter p(Matrix(1, 1, 2.0), "p");
+    outer->Param(&p);
+    TapeLease inner;
+    EXPECT_NE(inner.get(), outer.get());
+    EXPECT_EQ(inner->size(), 0);
+    inner->Leaf(Matrix(2, 2, 1.0));
+  }
+  TapeLease again;
+  EXPECT_EQ(again->size(), 0);
+  TapeLease second;
+  EXPECT_NE(again.get(), second.get());
+  EXPECT_TRUE(again.get() == outer_tape || second.get() == outer_tape);
 }
 
 TEST(TapeReuseTest, ConstantViewAliasesWithoutCopy) {
