@@ -50,7 +50,8 @@ core::CerlConfig QueryBenchConfig(uint64_t seed) {
   config.net.rep_dim = 8;
   config.net.head_hidden = {8};
   // Relu hidden layers: the serving-latency floor should measure the
-  // pipeline, not libm's expm1 (the rep output stays tanh by architecture).
+  // pipeline, not the ELU forward's expm1 core (the rep output stays tanh
+  // by architecture). The floor in CI was set with this config; keep it.
   config.net.activation = nn::Activation::kRelu;
   config.train.epochs = 6;
   config.train.batch_size = 64;

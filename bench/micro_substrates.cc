@@ -235,6 +235,27 @@ void BM_VecExp(benchmark::State& state) {
 }
 BENCHMARK(BM_VecExp)->Arg(256)->Arg(4096)->Arg(65536);
 
+// One dispatched activation forward over a 128 x 32 N(0, 1) batch, the
+// hidden-layer shape of CERL's MLPs — what the tape and the serving path run
+// per layer. relu is plain compare-select; elu and tanh run the expm1 core.
+// bench-smoke gates the elu/relu and tanh/relu ratios within one run.
+void BM_EwForward(benchmark::State& state, linalg::simd::EwFwd op) {
+  Rng rng(15);
+  linalg::Matrix x = RandomMatrix(&rng, 128, 32);
+  linalg::Matrix y(128, 32);
+  const auto& ks = linalg::simd::Kernels();
+  for (auto _ : state) {
+    ks.ew_forward(static_cast<int>(op), x.data(), y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+  state.SetLabel(ks.name);
+}
+BENCHMARK_CAPTURE(BM_EwForward, relu, linalg::simd::EwFwd::kRelu);
+BENCHMARK_CAPTURE(BM_EwForward, elu, linalg::simd::EwFwd::kElu);
+BENCHMARK_CAPTURE(BM_EwForward, tanh, linalg::simd::EwFwd::kTanh);
+
 // Cold-start Sinkhorn solves. Arg(1): the workspace solver (arena buffers,
 // SIMD kernels, vectorized exp; warm start disabled so every solve runs
 // the full iteration). Arg(0): the allocate-per-call reference solver.

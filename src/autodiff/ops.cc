@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "linalg/gemm.h"
 #include "linalg/simd.h"
@@ -120,17 +121,17 @@ void ScalarAddBackward(Tape* t, int self, const Ctx& ctx) {
   t->GradRef(ctx.a).Add(t->GradRef(self));
 }
 
-// Elementwise unary ops are instantiated per forward function so it
-// inlines into the loop. The derivative formulas live in the SIMD kernel
+// Elementwise unary ops. The derivative formulas live in the SIMD kernel
 // layer (linalg::simd::EwGrad documents each expression), selected here by
 // tag: the backward pass `ga += g * dfdx(x, y)` runs through the dispatched
 // ew_backward kernel, which is plain elementwise arithmetic and therefore
 // bitwise identical between the scalar and AVX2 tables.
-// kFwdTag selects the dispatched ew_forward kernel for ops whose forward
-// is plain arithmetic or IEEE-exact (relu/reciprocal/sqrt/square/abs);
-// transcendental forwards pass -1 and keep the scalar libm loop, since a
-// vectorized approximation would change their bits.
-template <double (*Fwd)(double), linalg::simd::EwGrad kGrad, int kFwdTag = -1>
+// kFwd is either a linalg::simd::EwFwd tag, selecting the dispatched
+// ew_forward kernel (the plain/IEEE-exact forwards and the ELU/tanh
+// expm1-core approximations, bitwise identical across tables), or a scalar
+// forward function for the transcendentals still on libm (sigmoid/exp/log),
+// instantiated per function so it inlines into the loop.
+template <linalg::simd::EwGrad kGrad, auto kFwd>
 struct EwOp {
   static void Backward(Tape* t, int self, const Ctx& ctx) {
     if (!t->RequiresGrad(ctx.a)) return;
@@ -147,12 +148,12 @@ struct EwOp {
     Matrix* out = nullptr;
     Var v = tape->NewNode(a.rows(), a.cols(), &Backward, ctx, &out);
     const Matrix& av = tape->ValueOf(ctx.a);
-    if constexpr (kFwdTag >= 0) {
-      linalg::simd::Kernels().ew_forward(kFwdTag, av.data(), out->data(),
-                                         av.size());
+    if constexpr (std::is_same_v<decltype(kFwd), linalg::simd::EwFwd>) {
+      linalg::simd::Kernels().ew_forward(static_cast<int>(kFwd), av.data(),
+                                         out->data(), av.size());
     } else {
       for (int64_t i = 0; i < av.size(); ++i) {
-        out->data()[i] = Fwd(av.data()[i]);
+        out->data()[i] = kFwd(av.data()[i]);
       }
     }
     return v;
@@ -222,18 +223,11 @@ void GatherRowsBackward(Tape* t, int self, const Ctx& ctx) {
   }
 }
 
-// The forward functions. Each op's derivative formula is the matching
+// The libm forwards. Each op's derivative formula is the matching
 // linalg::simd::EwGrad entry (see simd.h); keep the two in sync.
-double ReciprocalFwd(double x) { return 1.0 / x; }
-double ReluFwd(double x) { return x > 0.0 ? x : 0.0; }
-double EluFwd(double x) { return x > 0.0 ? x : std::expm1(x); }
-double TanhFwd(double x) { return std::tanh(x); }
 double SigmoidFwd(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 double ExpFwd(double x) { return std::exp(x); }
 double LogFwd(double x) { return std::log(x); }
-double SqrtFwd(double x) { return std::sqrt(x); }
-double SquareFwd(double x) { return x * x; }
-double AbsFwd(double x) { return std::fabs(x); }
 
 }  // namespace
 
@@ -366,30 +360,30 @@ Var ScalarAdd(Var a, double k) {
   return v;
 }
 
-Var Reciprocal(Var a) { return EwOp<&ReciprocalFwd, linalg::simd::EwGrad::kReciprocal,
-                 static_cast<int>(linalg::simd::EwFwd::kReciprocal)>::Apply(a); }
+using linalg::simd::EwFwd;
+using linalg::simd::EwGrad;
 
-Var Relu(Var a) { return EwOp<&ReluFwd, linalg::simd::EwGrad::kRelu,
-                 static_cast<int>(linalg::simd::EwFwd::kRelu)>::Apply(a); }
+Var Reciprocal(Var a) {
+  return EwOp<EwGrad::kReciprocal, EwFwd::kReciprocal>::Apply(a);
+}
 
-Var Elu(Var a) { return EwOp<&EluFwd, linalg::simd::EwGrad::kElu>::Apply(a); }
+Var Relu(Var a) { return EwOp<EwGrad::kRelu, EwFwd::kRelu>::Apply(a); }
 
-Var Tanh(Var a) { return EwOp<&TanhFwd, linalg::simd::EwGrad::kTanh>::Apply(a); }
+Var Elu(Var a) { return EwOp<EwGrad::kElu, EwFwd::kElu>::Apply(a); }
 
-Var Sigmoid(Var a) { return EwOp<&SigmoidFwd, linalg::simd::EwGrad::kSigmoid>::Apply(a); }
+Var Tanh(Var a) { return EwOp<EwGrad::kTanh, EwFwd::kTanh>::Apply(a); }
 
-Var Exp(Var a) { return EwOp<&ExpFwd, linalg::simd::EwGrad::kExp>::Apply(a); }
+Var Sigmoid(Var a) { return EwOp<EwGrad::kSigmoid, &SigmoidFwd>::Apply(a); }
 
-Var Log(Var a) { return EwOp<&LogFwd, linalg::simd::EwGrad::kLog>::Apply(a); }
+Var Exp(Var a) { return EwOp<EwGrad::kExp, &ExpFwd>::Apply(a); }
 
-Var Sqrt(Var a) { return EwOp<&SqrtFwd, linalg::simd::EwGrad::kSqrt,
-                 static_cast<int>(linalg::simd::EwFwd::kSqrt)>::Apply(a); }
+Var Log(Var a) { return EwOp<EwGrad::kLog, &LogFwd>::Apply(a); }
 
-Var Square(Var a) { return EwOp<&SquareFwd, linalg::simd::EwGrad::kSquare,
-                 static_cast<int>(linalg::simd::EwFwd::kSquare)>::Apply(a); }
+Var Sqrt(Var a) { return EwOp<EwGrad::kSqrt, EwFwd::kSqrt>::Apply(a); }
 
-Var Abs(Var a) { return EwOp<&AbsFwd, linalg::simd::EwGrad::kAbs,
-                 static_cast<int>(linalg::simd::EwFwd::kAbs)>::Apply(a); }
+Var Square(Var a) { return EwOp<EwGrad::kSquare, EwFwd::kSquare>::Apply(a); }
+
+Var Abs(Var a) { return EwOp<EwGrad::kAbs, EwFwd::kAbs>::Apply(a); }
 
 Var Sum(Var a) {
   Tape* tape = a.tape();

@@ -1,10 +1,10 @@
 // Scalar kernel table and one-time dispatch resolution. The scalar bodies
 // are the former inline loops of ops.cc / gemm.cc / optim.cc: they define
 // the reference arithmetic (order and operation shape) that the AVX2 table
-// either matches bitwise (vec_exp tail handling) or tracks within
-// documented FMA rounding (row_dot, gemm, adam). This file
-// stays at the SSE2 baseline so the compiler cannot contract multiply-adds
-// — the scalar table is FMA-free by construction.
+// either matches bitwise (vec_exp tail handling, the elementwise kernels)
+// or tracks within documented FMA rounding (row_dot, gemm, adam). This file
+// stays at the SSE2 baseline so the compiler cannot contract multiply-adds:
+// the only fused operations are the explicit std::fma calls.
 #include "linalg/simd.h"
 
 #include <atomic>
@@ -259,9 +259,99 @@ void MatTVecAccumScalar(const double* mat, int64_t ld, const double* u,
   }
 }
 
+// ---- ELU / tanh forwards: the expm1 core ---------------------------------
+//
+// expm1(x) for x <= 0 (a NaN passes through). Cody-Waite reduction
+// x = k*ln2 + r, |r| <= ln2/2, with r split into r + r_lo; 2^k assembled in
+// the exponent field; expm1(r) = r + r^2 * q(r), q the degree-11 Taylor
+// polynomial sum_j r^j / (j+2)! in Estrin form (truncation error < 2^-56
+// relative on the reduced range); and expm1(x) = (2^k - 1) + 2^k*expm1(r).
+// x is clamped at -45, where expm1 is -1 to the last bit, so k >= -65 and
+// 2^k is a normal number. std::fma sits exactly where Expm1ReduceAvx2 in
+// simd_avx2.cc issues an FMA instruction; every other step is a plain IEEE
+// op, so the two tables agree bit for bit.
+struct Expm1Reduced {
+  double s;     // 2^k
+  double r;     // reduced argument, rounded
+  double r_lo;  // what r lost to rounding
+  double r2;    // r * r
+  double q;     // q(r)
+};
+
+inline Expm1Reduced Expm1Reduce(double x) {
+  constexpr double kLog2e = 1.4426950408889634074;
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;  // low 21 bits zero
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
+  x = x < -45.0 ? -45.0 : x;                     // NaN compares false
+  const double t = std::fma(x, kLog2e, kShift);  // k, in the low mantissa
+  const double nk = kShift - t;                  // -k, exact
+  const double r_hi = std::fma(nk, kLn2Hi, x);   // exact (Sterbenz)
+  Expm1Reduced e;
+  e.r = std::fma(nk, kLn2Lo, r_hi);
+  e.r_lo = std::fma(nk, kLn2Lo, r_hi - e.r);
+  const double r = e.r;
+  e.r2 = r * r;
+  const double r4 = e.r2 * e.r2;
+  const double r8 = r4 * r4;
+  const double a0 = std::fma(r, 1.0 / 6.0, 1.0 / 2.0);
+  const double a1 = std::fma(r, 1.0 / 120.0, 1.0 / 24.0);
+  const double a2 = std::fma(r, 1.0 / 5040.0, 1.0 / 720.0);
+  const double a3 = std::fma(r, 1.0 / 362880.0, 1.0 / 40320.0);
+  const double a4 = std::fma(r, 1.0 / 39916800.0, 1.0 / 3628800.0);
+  const double a5 = std::fma(r, 1.0 / 6227020800.0, 1.0 / 479001600.0);
+  const double b0 = std::fma(e.r2, a1, a0);
+  const double b1 = std::fma(e.r2, a3, a2);
+  const double b2 = std::fma(e.r2, a5, a4);
+  e.q = std::fma(r8, b2, std::fma(r4, b1, b0));
+  // Unsigned: k = t - kShift is exact in the integer view because both share
+  // an exponent, and for any input (NaN included) the wrap is defined.
+  uint64_t t_bits, shift_bits;
+  std::memcpy(&t_bits, &t, sizeof(t_bits));
+  std::memcpy(&shift_bits, &kShift, sizeof(shift_bits));
+  const uint64_t scale_bits = (t_bits - shift_bits + 1023) << 52;
+  std::memcpy(&e.s, &scale_bits, sizeof(e.s));
+  return e;
+}
+
+// ELU: x for x >= 0 (so -0 keeps its sign), else expm1(x) with one final
+// rounding. 2^k - 1 is exact for k >= -53; below that, l carries the 2^k
+// it dropped so results near -1 still round correctly.
+inline double EluOne(double x) {
+  if (x >= 0.0) return x;
+  const Expm1Reduced e = Expm1Reduce(x);
+  const double p = std::fma(e.r2, e.q, e.r);
+  const double h = e.s - 1.0;
+  const double l = e.s - (h + 1.0);
+  return std::fma(e.s, p, l) + h;
+}
+
+// tanh(x) = sign(x) * -u / (u + 2) with u = expm1(-2|x|) in (-1, 0]. The
+// quotient is ill-conditioned in u's last bit, so u is kept as hi + lo,
+// u and u + 2 are formed as double-doubles, and one residual step corrects
+// the quotient (about 0.9 ulp from the true tanh; libm's is about 2.1).
+inline double TanhOne(double x) {
+  const Expm1Reduced e = Expm1Reduce(-2.0 * std::fabs(x));
+  const double h = e.s - 1.0;
+  const double l = e.s - (h + 1.0);
+  const double sr = e.s * e.r;  // exact
+  const double hi = h + sr;
+  const double l2 = sr - (hi - h);  // Fast2Sum: h == 0 or |h| >= |sr|
+  const double lo = std::fma(e.s, e.r_lo, std::fma(e.s, e.r2 * e.q, l + l2));
+  const double u = hi + lo;
+  const double u_lo = (hi - u) + lo;
+  const double d_hi = hi + 2.0;
+  const double d_mid = (hi - (d_hi - 2.0)) + lo;
+  const double d = d_hi + d_mid;
+  const double d_lo = (d_hi - d) + d_mid;
+  const double rec = 1.0 / d;
+  const double q0 = u * rec;
+  const double res = std::fma(-q0, d, u) + std::fma(-q0, d_lo, u_lo);
+  return std::copysign(std::fma(res, rec, q0), x);
+}
+
 void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
-  // The EwFwd formulas from simd.h, verbatim (and matching the autodiff
-  // forward functions they replace on the dispatched path).
+  // The EwFwd formulas from simd.h, verbatim.
   switch (static_cast<EwFwd>(op)) {
     case EwFwd::kReciprocal:
       for (int64_t i = 0; i < n; ++i) out[i] = 1.0 / x[i];
@@ -277,6 +367,12 @@ void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
       break;
     case EwFwd::kAbs:
       for (int64_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
+      break;
+    case EwFwd::kElu:
+      for (int64_t i = 0; i < n; ++i) out[i] = EluOne(x[i]);
+      break;
+    case EwFwd::kTanh:
+      for (int64_t i = 0; i < n; ++i) out[i] = TanhOne(x[i]);
       break;
   }
 }

@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernel layer for the per-element hot paths:
 // the batch exponential (VecExp), the register-tiled GEMM,
 // the MatVecInto row reduction, the Adam parameter update, and the
-// elementwise accumulation/forward kernels of the training path.
+// elementwise accumulation/forward kernels of the training path, including
+// the ELU and tanh activation forwards (an in-repo expm1 core, no libm).
 //
 // Dispatch model: one function-pointer table (KernelSet) resolved once per
 // process — CERL_FORCE_SCALAR=<non-zero> in the environment forces the
@@ -27,6 +28,20 @@
 //    the scalar results to a few ulp per accumulation (tests document the
 //    tolerance). gemm's exact per-element formula is spelled out at its
 //    table entry.
+//  - ew_forward's ELU and tanh (EwFwd::kElu / kTanh) are approximations
+//    of libm's expm1 and tanh, within 2 and 3 ulp of them respectively
+//    (tests/activation_oracle_test.cc keeps the libm formulas as the
+//    oracle). Their contract:
+//      * same bits in both tables: the scalar twin calls std::fma at
+//        exactly the sites where the AVX2 body issues an FMA instruction
+//        and uses plain IEEE ops everywhere else;
+//      * position-uniform, like vec_exp (masked full-width AVX2 tail);
+//      * special values as libm: +-0 keep their sign, NaN propagates (no
+//        clamp may swallow it), ELU(-inf) = -1, ELU(+inf) = +inf,
+//        tanh(+-inf) = +-1, tanh is exactly +-1 for |x| >= 22, and tiny or
+//        subnormal inputs return x.
+//    Their derivatives (EwGrad::kElu, kTanh) are formulas of the output y
+//    and do not depend on how the forward was computed.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +65,11 @@ enum class EwGrad : int {
   kAbs,             ///< x > 0 ? 1 : (x < 0 ? -1 : 0)
 };
 
-/// Forward selector for KernelSet::ew_forward — only the activations whose
-/// forward is plain arithmetic or an IEEE-exact instruction (sqrt is
-/// correctly rounded), so vectorizing cannot change a single bit.
-/// Transcendental forwards (elu/tanh/sigmoid/exp/log) stay on the scalar
+/// Forward selector for KernelSet::ew_forward. The first five are plain
+/// arithmetic or an IEEE-exact instruction (sqrt is correctly rounded), so
+/// they equal the scalar formula bit for bit. kElu and kTanh run the
+/// in-repo expm1 core under the activation contract in the file comment.
+/// The other transcendental forwards (sigmoid/exp/log) stay on the scalar
 /// libm path in autodiff.
 enum class EwFwd : int {
   kReciprocal = 0,  ///< 1 / x
@@ -61,6 +77,8 @@ enum class EwFwd : int {
   kSqrt,            ///< sqrt(x)
   kSquare,          ///< x * x
   kAbs,             ///< fabs(x)
+  kElu,             ///< x >= 0 ? x : expm1(x)
+  kTanh,            ///< tanh(x)
 };
 
 struct KernelSet {
@@ -177,8 +195,9 @@ struct KernelSet {
   void (*mat_tvec_accum)(const double* mat, int64_t ld, const double* u,
                          int rows, int cols, double* out);
 
-  /// out[i] = f(x[i]) with f selected by `op` (an EwFwd value); every
-  /// formula is plain arithmetic / compare-select / IEEE-exact sqrt.
+  /// out[i] = f(x[i]) with f selected by `op` (an EwFwd value): plain
+  /// arithmetic / compare-select / IEEE-exact sqrt, or the ELU/tanh
+  /// approximations whose contract is in the file comment.
   void (*ew_forward)(int op, const double* x, double* out, int64_t n);
 };
 

@@ -713,6 +713,95 @@ inline void UnaryLoop(const double* x, double* out, int64_t n, Fn f) {
   }
 }
 
+// ---- ELU / tanh forwards -------------------------------------------------
+//
+// The expm1 core of simd.cc's Expm1Reduce, four lanes at a time: every
+// _mm256_fmadd_pd here is a std::fma there and every other op is the same
+// plain IEEE op, so the results are bitwise equal (see simd.cc for the
+// algorithm and its error budget).
+struct Expm1ReducedAvx2 {
+  __m256d s, r, r_lo, r2, q;
+};
+
+inline Expm1ReducedAvx2 Expm1ReduceAvx2(__m256d x) {
+  const __m256d kShift = _mm256_set1_pd(6755399441055744.0);  // 1.5 * 2^52
+  const __m256d kLn2Lo = _mm256_set1_pd(1.90821492927058770002e-10);
+  // max(-45, x) is (-45 > x ? -45 : x): a NaN x is returned, not clamped.
+  x = _mm256_max_pd(_mm256_set1_pd(-45.0), x);
+  const __m256d t =
+      _mm256_fmadd_pd(x, _mm256_set1_pd(1.4426950408889634074), kShift);
+  const __m256d nk = _mm256_sub_pd(kShift, t);
+  const __m256d r_hi =
+      _mm256_fmadd_pd(nk, _mm256_set1_pd(6.93147180369123816490e-01), x);
+  Expm1ReducedAvx2 e;
+  e.r = _mm256_fmadd_pd(nk, kLn2Lo, r_hi);
+  e.r_lo = _mm256_fmadd_pd(nk, kLn2Lo, _mm256_sub_pd(r_hi, e.r));
+  const __m256d r = e.r;
+  e.r2 = _mm256_mul_pd(r, r);
+  const __m256d r4 = _mm256_mul_pd(e.r2, e.r2);
+  const __m256d r8 = _mm256_mul_pd(r4, r4);
+  auto term = [&r](double c1, double c0) {
+    return _mm256_fmadd_pd(r, _mm256_set1_pd(c1), _mm256_set1_pd(c0));
+  };
+  const __m256d a0 = term(1.0 / 6.0, 1.0 / 2.0);
+  const __m256d a1 = term(1.0 / 120.0, 1.0 / 24.0);
+  const __m256d a2 = term(1.0 / 5040.0, 1.0 / 720.0);
+  const __m256d a3 = term(1.0 / 362880.0, 1.0 / 40320.0);
+  const __m256d a4 = term(1.0 / 39916800.0, 1.0 / 3628800.0);
+  const __m256d a5 = term(1.0 / 6227020800.0, 1.0 / 479001600.0);
+  const __m256d b0 = _mm256_fmadd_pd(e.r2, a1, a0);
+  const __m256d b1 = _mm256_fmadd_pd(e.r2, a3, a2);
+  const __m256d b2 = _mm256_fmadd_pd(e.r2, a5, a4);
+  e.q = _mm256_fmadd_pd(r8, b2, _mm256_fmadd_pd(r4, b1, b0));
+  const __m256i k = _mm256_sub_epi64(_mm256_castpd_si256(t),
+                                     _mm256_castpd_si256(kShift));
+  e.s = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(k, _mm256_set1_epi64x(1023)), 52));
+  return e;
+}
+
+inline __m256d EluAvx2(__m256d x) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const Expm1ReducedAvx2 e = Expm1ReduceAvx2(x);
+  const __m256d p = _mm256_fmadd_pd(e.r2, e.q, e.r);
+  const __m256d h = _mm256_sub_pd(e.s, one);
+  const __m256d l = _mm256_sub_pd(e.s, _mm256_add_pd(h, one));
+  const __m256d em1 = _mm256_add_pd(_mm256_fmadd_pd(e.s, p, l), h);
+  // x >= 0 ? x : expm1(x) — ordered compare, so NaN takes the expm1 lane.
+  return _mm256_blendv_pd(em1, x,
+                          _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ));
+}
+
+inline __m256d TanhAvx2(__m256d x) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d two = _mm256_set1_pd(2.0);
+  const Expm1ReducedAvx2 e = Expm1ReduceAvx2(
+      _mm256_mul_pd(_mm256_set1_pd(-2.0), _mm256_andnot_pd(sign, x)));
+  const __m256d h = _mm256_sub_pd(e.s, one);
+  const __m256d l = _mm256_sub_pd(e.s, _mm256_add_pd(h, one));
+  const __m256d sr = _mm256_mul_pd(e.s, e.r);
+  const __m256d hi = _mm256_add_pd(h, sr);
+  const __m256d l2 = _mm256_sub_pd(sr, _mm256_sub_pd(hi, h));
+  const __m256d lo = _mm256_fmadd_pd(
+      e.s, e.r_lo,
+      _mm256_fmadd_pd(e.s, _mm256_mul_pd(e.r2, e.q), _mm256_add_pd(l, l2)));
+  const __m256d u = _mm256_add_pd(hi, lo);
+  const __m256d u_lo = _mm256_add_pd(_mm256_sub_pd(hi, u), lo);
+  const __m256d d_hi = _mm256_add_pd(hi, two);
+  const __m256d d_mid =
+      _mm256_add_pd(_mm256_sub_pd(hi, _mm256_sub_pd(d_hi, two)), lo);
+  const __m256d d = _mm256_add_pd(d_hi, d_mid);
+  const __m256d d_lo = _mm256_add_pd(_mm256_sub_pd(d_hi, d), d_mid);
+  const __m256d rec = _mm256_div_pd(one, d);
+  const __m256d q0 = _mm256_mul_pd(u, rec);
+  const __m256d res = _mm256_add_pd(_mm256_fnmadd_pd(q0, d, u),
+                                    _mm256_fnmadd_pd(q0, d_lo, u_lo));
+  const __m256d t = _mm256_fmadd_pd(res, rec, q0);
+  // copysign(t, x)
+  return _mm256_or_pd(_mm256_andnot_pd(sign, t), _mm256_and_pd(sign, x));
+}
+
 void EwForwardAvx2(int op, const double* x, double* out, int64_t n) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d abs_mask =
@@ -742,6 +831,12 @@ void EwForwardAvx2(int op, const double* x, double* out, int64_t n) {
       UnaryLoop(x, out, n, [&](__m256d xv) {
         return _mm256_and_pd(xv, abs_mask);
       });
+      break;
+    case EwFwd::kElu:
+      UnaryLoop(x, out, n, [](__m256d xv) { return EluAvx2(xv); });
+      break;
+    case EwFwd::kTanh:
+      UnaryLoop(x, out, n, [](__m256d xv) { return TanhAvx2(xv); });
       break;
   }
 }

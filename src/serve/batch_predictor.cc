@@ -10,27 +10,28 @@
 namespace cerl::serve {
 namespace {
 
-// Elementwise activations, matching autodiff/ops.cc forwards exactly: relu
-// through the dispatched ew_forward kernel (bitwise across tables, in-place
-// aliasing allowed), the transcendentals as the same scalar libm loops the
-// tape runs (elu = expm1, tanh = std::tanh, sigmoid = 1/(1+exp(-x))).
+// Elementwise activations, matching autodiff/ops.cc forwards exactly: relu,
+// elu and tanh through the dispatched ew_forward kernel (bitwise across
+// tables, in-place aliasing allowed; elu/tanh are the in-repo expm1 core,
+// not libm), sigmoid as the same scalar libm loop the tape runs
+// (1/(1+exp(-x))).
 void ApplyActivationInPlace(nn::Activation act, linalg::Matrix* m) {
   double* d = m->data();
   const int64_t n = m->size();
+  auto kernel = [&](linalg::simd::EwFwd op) {
+    linalg::simd::Kernels().ew_forward(static_cast<int>(op), d, d, n);
+  };
   switch (act) {
     case nn::Activation::kNone:
       return;
     case nn::Activation::kRelu:
-      linalg::simd::Kernels().ew_forward(
-          static_cast<int>(linalg::simd::EwFwd::kRelu), d, d, n);
+      kernel(linalg::simd::EwFwd::kRelu);
       return;
     case nn::Activation::kElu:
-      for (int64_t i = 0; i < n; ++i) {
-        d[i] = d[i] > 0.0 ? d[i] : std::expm1(d[i]);
-      }
+      kernel(linalg::simd::EwFwd::kElu);
       return;
     case nn::Activation::kTanh:
-      for (int64_t i = 0; i < n; ++i) d[i] = std::tanh(d[i]);
+      kernel(linalg::simd::EwFwd::kTanh);
       return;
     case nn::Activation::kSigmoid:
       for (int64_t i = 0; i < n; ++i) d[i] = 1.0 / (1.0 + std::exp(-d[i]));

@@ -31,7 +31,10 @@ namespace {
 // bit-identically on any machine, including ones without AVX2. Each test
 // (and the regen path) forces the scalar table so the fixture values stay
 // machine-independent; production numerics are covered by the parity suite
-// in simd_kernel_test.cc instead.
+// in simd_kernel_test.cc instead. The ELU and tanh forwards are the kernel
+// layer's own expm1 core, not libm, so the pinned values also no longer
+// depend on which expm1/tanh variant the host libm selects at load time
+// (glibc resolves expm1 per CPU through an IFUNC).
 class ScalarKernelGuard {
  public:
   ScalarKernelGuard() { linalg::simd::ForceScalarForTesting(true); }
