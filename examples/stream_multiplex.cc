@@ -13,16 +13,25 @@
 // bit-identical either way; only the wall clock changes (on multicore
 // hosts).
 //
-// The run also demonstrates a rolling restart: mid-run — with domains still
-// queued — the engine snapshots itself to disk (SaveSnapshot drains each
-// stream to a domain boundary, journals the queued work, and keeps
-// serving), and a FRESH engine restores from the file (LoadSnapshot),
-// replays the journal, and finishes with bit-identical trainers.
+// The run also demonstrates a rolling restart: the engine logs every
+// accepted domain to a write-ahead log, and mid-run — with domains still
+// queued — it snapshots itself to disk (SaveSnapshot drains each stream to a
+// domain boundary, writes the trained state, compacts the WAL down to the
+// still-queued domains, and keeps serving). After the engine is gone, a
+// FRESH engine recovers from snapshot + WAL (Recover), replays the queued
+// domains, and must finish with bit-identical trainers: the program exits 1
+// if any restored ITE differs. Its files live in a fresh temporary
+// directory, removed at exit. Also registered as a ctest smoke test.
 //
 // Run: ./build/examples/stream_multiplex
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "data/synthetic.h"
 #include "data/topic_benchmark.h"
@@ -105,20 +114,33 @@ std::vector<Scenario> BuildScenarios() {
 
 int main() {
   std::vector<Scenario> scenarios = BuildScenarios();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cerl_stream_multiplex_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string snap_path = (dir / "engine.snap").string();
+  stream::StreamEngineOptions options;
+  options.wal_path = (dir / "engine.wal").string();
 
   // --- Concurrent: every stream multiplexed over the engine's workers ---
   WallTimer engine_timer;
-  stream::StreamEngine engine;
+  auto engine = std::make_unique<stream::StreamEngine>(options);
+  Status opened = engine->OpenStorage();
+  if (!opened.ok()) {
+    std::printf("WAL open failed: %s\n", opened.ToString().c_str());
+    return 1;
+  }
   std::vector<int> ids;
   for (const Scenario& s : scenarios) {
-    ids.push_back(engine.AddStream(s.name, s.config, s.input_dim));
+    ids.push_back(engine->AddStream(s.name, s.config, s.input_dim));
   }
   for (size_t i = 0; i < scenarios.size(); ++i) {
     for (const data::DataSplit& split : scenarios[i].domains) {
       // Copies; real feeds would move. A push can shed with a typed reject
       // (quarantined tenant, full queue) — e.g. under a CERL_FAULTS chaos
       // spec — and the fleet keeps serving.
-      Status pushed = engine.PushDomain(ids[i], split);
+      Status pushed = engine->PushDomain(ids[i], split);
       if (!pushed.ok()) {
         std::printf("stream '%s': push shed (%s)\n", scenarios[i].name,
                     pushed.ToString().c_str());
@@ -126,25 +148,24 @@ int main() {
     }
   }
 
-  // Snapshot UNDER LOAD: most pushed domains are still queued, so the
-  // container carries every trainer plus a replay journal of pending work.
-  const char* snap_path = "stream_multiplex.snap";
+  // Snapshot UNDER LOAD: most pushed domains are still queued. The
+  // snapshot carries every trainer; the queued domains stay in the WAL.
   stream::StreamEngine::SnapshotInfo snap_info;
-  Status snap = engine.SaveSnapshot(snap_path, &snap_info);
+  Status snap = engine->SaveSnapshot(snap_path, &snap_info);
   if (!snap.ok()) {
     std::printf("snapshot failed: %s\n", snap.ToString().c_str());
     return 1;
   }
 
-  engine.Drain();
+  engine->Drain();
   const double engine_seconds = engine_timer.ElapsedSeconds();
 
   std::printf("stream multiplexing — %d tenants on %d workers\n\n",
-              engine.num_streams(), engine.num_workers());
+              engine->num_streams(), engine->num_workers());
   std::printf("%-11s %7s %9s %12s %14s\n", "stream", "domain", "epochs",
               "sqrt(PEHE)", "memory units");
   for (size_t i = 0; i < scenarios.size(); ++i) {
-    for (const stream::DomainResult& r : engine.results(ids[i])) {
+    for (const stream::DomainResult& r : engine->results(ids[i])) {
       if (!r.status.ok()) {
         std::printf("%-11s %7d   dropped: %s\n", scenarios[i].name,
                     r.domain_index, r.status.ToString().c_str());
@@ -154,43 +175,62 @@ int main() {
                   r.domain_index, r.stats.epochs_run,
                   r.has_metrics ? r.metrics.pehe : -1.0, r.memory_units);
     }
-    if (engine.health(ids[i]) != stream::StreamHealth::kHealthy) {
+    if (engine->health(ids[i]) != stream::StreamHealth::kHealthy) {
       std::printf("%-11s         health: %s\n", scenarios[i].name,
-                  stream::StreamHealthName(engine.health(ids[i])));
+                  stream::StreamHealthName(engine->health(ids[i])));
     }
   }
 
-  // --- Rolling restart: a fresh engine resumes from the snapshot --------
+  // The uninterrupted engine's final ITEs (empty for a stream with no
+  // trained stage, e.g. quarantined before its first domain completed
+  // under fault injection), then the engine goes away like a stopped
+  // process.
+  std::vector<linalg::Vector> want(scenarios.size());
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    if (engine->trainer(ids[i]).stages_seen() > 0) {
+      want[i] = engine->trainer(ids[i]).PredictIte(
+          scenarios[i].domains[0].test.x);
+    }
+  }
+  engine.reset();
+
+  // --- Rolling restart: a fresh engine recovers from snapshot + WAL -----
   std::printf("\nsnapshot under load: %d streams, %d domains trained, "
-              "%d journaled (still queued at the fence)\n",
+              "%d still queued at the fence (kept in the WAL)\n",
               snap_info.num_streams, snap_info.completed_domains,
-              snap_info.journaled_domains);
-  stream::StreamEngine resumed;
-  Status restored = resumed.LoadSnapshot(snap_path);
-  if (!restored.ok()) {
-    std::printf("restore failed: %s\n", restored.ToString().c_str());
+              snap_info.queued_domains);
+  stream::StreamEngine resumed(options);
+  Status recovered = resumed.Recover(snap_path);
+  if (!recovered.ok()) {
+    std::printf("recover failed: %s\n", recovered.ToString().c_str());
     return 1;
   }
-  resumed.Drain();  // journal replays: queued domains train in push order
+  resumed.Drain();  // WAL replay: the queued domains train in push order
+  bool identical = true;
   double max_restart_diff = 0.0;
   for (size_t i = 0; i < scenarios.size(); ++i) {
-    // A stream with no trained stage (e.g. quarantined before its first
-    // domain completed under fault injection) has no model to query.
-    if (engine.trainer(ids[i]).stages_seen() == 0 ||
-        resumed.trainer(static_cast<int>(i)).stages_seen() == 0) {
+    const int id = static_cast<int>(i);
+    if (want[i].empty() != (resumed.trainer(id).stages_seen() == 0)) {
+      identical = false;
       continue;
     }
-    const linalg::Matrix& probe = scenarios[i].domains[0].test.x;
-    const linalg::Vector a = engine.trainer(ids[i]).PredictIte(probe);
-    const linalg::Vector b =
-        resumed.trainer(static_cast<int>(i)).PredictIte(probe);
-    for (size_t u = 0; u < a.size(); ++u) {
-      max_restart_diff = std::max(max_restart_diff, std::abs(a[u] - b[u]));
+    if (want[i].empty()) continue;
+    const linalg::Vector got =
+        resumed.trainer(id).PredictIte(scenarios[i].domains[0].test.x);
+    for (size_t u = 0; u < got.size(); ++u) {
+      identical = identical && got[u] == want[i][u];
+      max_restart_diff = std::max(max_restart_diff,
+                                  std::abs(got[u] - want[i][u]));
     }
   }
-  std::printf("restored engine finished the journal; max |ITE diff| vs the "
-              "uninterrupted engine: %g (bit-identical restart)\n",
+  std::filesystem::remove_all(dir);
+  std::printf("recovered engine replayed the WAL; max |ITE diff| vs the "
+              "uninterrupted engine: %g\n",
               max_restart_diff);
+  if (!identical) {
+    std::printf("FAILED: the restart is not bit-identical\n");
+    return 1;
+  }
 
   // --- Serial reference: identical math, one domain at a time ----------
   WallTimer serial_timer;

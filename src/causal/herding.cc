@@ -66,46 +66,6 @@ std::vector<int> HerdingSelect(const linalg::Matrix& rows, int count) {
   return selected;
 }
 
-std::vector<int> HerdingSelectReference(const linalg::Matrix& rows,
-                                        int count) {
-  const int n = rows.rows();
-  const int d = rows.cols();
-  CERL_CHECK_GE(n, count);
-  CERL_CHECK_GE(count, 0);
-
-  const linalg::Vector mean = linalg::ColumnMeans(rows);
-  std::vector<int> selected;
-  selected.reserve(count);
-  std::vector<char> used(n, 0);
-  linalg::Vector running_sum(d, 0.0);
-
-  for (int k = 0; k < count; ++k) {
-    // Pick argmin over candidates of || mean - (sum + x_c) / (k + 1) ||^2.
-    int best = -1;
-    double best_dist = std::numeric_limits<double>::infinity();
-    const double inv = 1.0 / static_cast<double>(k + 1);
-    for (int c = 0; c < n; ++c) {
-      if (used[c]) continue;
-      const double* row = rows.row(c);
-      double dist = 0.0;
-      for (int j = 0; j < d; ++j) {
-        const double v = mean[j] - (running_sum[j] + row[j]) * inv;
-        dist += v * v;
-      }
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
-      }
-    }
-    CERL_CHECK_GE(best, 0);
-    used[best] = 1;
-    selected.push_back(best);
-    const double* row = rows.row(best);
-    for (int j = 0; j < d; ++j) running_sum[j] += row[j];
-  }
-  return selected;
-}
-
 std::vector<int> RandomSelect(int n, int count, Rng* rng) {
   return SampleWithoutReplacement(rng, n, count);
 }

@@ -20,11 +20,6 @@ namespace cerl::causal {
 /// rounding of well-separated scores.
 std::vector<int> HerdingSelect(const linalg::Matrix& rows, int count);
 
-/// Direct-form reference implementation (the original O(count·n·d) scalar
-/// scan); kept as the oracle HerdingSelect is tested against.
-std::vector<int> HerdingSelectReference(const linalg::Matrix& rows,
-                                        int count);
-
 /// Random-subsample alternative (the "w/o herding" ablation).
 std::vector<int> RandomSelect(int n, int count, Rng* rng);
 

@@ -3,8 +3,12 @@
 // the reference arithmetic (order and operation shape) that the AVX2 table
 // either matches bitwise (vec_exp tail handling, the elementwise kernels)
 // or tracks within documented FMA rounding (row_dot, gemm, adam). This file
-// stays at the SSE2 baseline so the compiler cannot contract multiply-adds:
-// the only fused operations are the explicit std::fma calls.
+// is built with -ffp-contract=off, so the compiler never contracts a
+// multiply-add: the only fused operations are the explicit std::fma calls.
+// At the SSE2 baseline each std::fma is a call into libm, so every kernel
+// that calls it is also cloned for FMA hardware (CERL_FMA_CLONES), where
+// the same std::fma is one instruction. fma is correctly rounded either
+// way, so both clones give the same bits.
 #include "linalg/simd.h"
 
 #include <atomic>
@@ -20,6 +24,15 @@ const KernelSet* Avx2KernelSet();
 #endif
 
 namespace {
+
+// Not under TSan: the clones dispatch through an ifunc resolver, which the
+// dynamic loader runs before the TSan runtime is initialized.
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define CERL_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define CERL_FMA_CLONES
+#endif
 
 void VecExpScalar(const double* in, double* out, int n) {
   // exp(x) = 2^k * exp(r) with r = x - k*ln2 (|r| <= ln2/2). k is extracted
@@ -138,12 +151,14 @@ void VecAccumScalar(const double* x, double* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
+CERL_FMA_CLONES
 void VecAxpyScalar(double a, const double* x, double* y, int64_t n) {
   // Fused multiply-add: correctly rounded, so the scalar and AVX2 tables
   // agree bitwise while the accumulate costs one op instead of two.
   for (int64_t i = 0; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
 }
 
+CERL_FMA_CLONES
 void VecMulAccumScalar(const double* x1, const double* x2, double* y,
                        int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = std::fma(x1[i], x2[i], y[i]);
@@ -247,6 +262,7 @@ void MatVecScalar(const double* mat, int64_t ld, const double* x, int rows,
   }
 }
 
+CERL_FMA_CLONES
 void MatTVecAccumScalar(const double* mat, int64_t ld, const double* u,
                         int rows, int cols, double* out) {
   for (int c = 0; c < cols; ++c) out[c] = 0.0;
@@ -350,6 +366,7 @@ inline double TanhOne(double x) {
   return std::copysign(std::fma(res, rec, q0), x);
 }
 
+CERL_FMA_CLONES
 void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
   // The EwFwd formulas from simd.h, verbatim.
   switch (static_cast<EwFwd>(op)) {

@@ -78,7 +78,7 @@ class StageCostModel {
   /// aggregating mean_abs_pct_error across streams.
   int64_t scored_predictions() const { return scored_predictions_; }
 
-  // --- Snapshot codec (CERLENG4 per-stream cost block) --------------------
+  // --- Snapshot codec (CERLENG5 per-stream cost block) --------------------
   // Rates/counters only; the plain EWMAs and error accumulators are
   // transient diagnostics and restore cold.
 

@@ -1,20 +1,17 @@
 // Engine-level snapshot/restore (StreamEngine::SaveSnapshot/LoadSnapshot).
 //
-// A multi-tenant CERL server's entire durable state is: per stream, the
-// trainer's continual state (model + scalers + memory M_d + stage counter +
-// RNG — the CERLCKP1 payload from core/checkpoint.cc) plus the domains that
-// were pushed but not yet trained. The paper's accessibility criterion makes
-// this exactly what may persist: the journal holds only domains that have
-// not been consumed yet (they are current, not past-domain, data), and
-// nothing else in the container is raw covariates.
+// The snapshot is a manifest of learned state: per stream, the trainer's
+// continual state (model + scalers + memory M_d + stage counter + RNG — the
+// CERLCKP1 payload from core/checkpoint.cc) plus the counters that resume
+// it. Domains still queued at the fence are not written: with a WAL open
+// they are already accepted-domain records, which the post-snapshot
+// compaction keeps and Recover() replays (engine_storage.cc). Nothing in
+// the container is raw covariates, as the paper's accessibility criterion
+// requires of the learned state.
 //
-// Format CERLENG4, the only one written or read (the golden fixture under
+// Format CERLENG5, the only one written or read (the golden fixture under
 // tests/testdata/ pins it; any other magic is a load error):
-//   magic "CERLENG4",
-//   u32 num_workers, u8 reserved                  (written 1, ignored),
-//   u8 backlog_in_wal                              (1 = the journal is
-//     elided; the still-queued domains live in the WAL and Recover()
-//     replays them — see engine_storage.cc),
+//   magic "CERLENG5",
 //   u32 num_streams, then per stream:
 //     u32 name_len, name bytes,
 //     u32 input_dim,
@@ -24,9 +21,6 @@
 //     3 x { f64 rate_ms_per_unit, i64 count }      (the stream's learned
 //       StageCostModel rates),
 //     u8 has_trainer, [u64 blob_len, CERLCKP1 payload incl. its checksum],
-//     u32 journal_count, then per queued domain a DataSplit
-//       (train/valid/test, each: u32 rows, u32 cols, f64 x[], u8 t[],
-//        u32 n + f64 y[], u32 n + f64 mu0[], u32 n + f64 mu1[]),
 //   u64 FNV-1a checksum.
 //
 // Checksum scope: the trailing hash covers the container METADATA only —
@@ -43,8 +37,8 @@
 // rollback target (and the blob-reuse cache) from the embedded blob.
 //
 // Every read is bounds-checked against the remaining payload before
-// allocating, and LoadSnapshot stages the entire engine (streams, trainers,
-// journal) before publishing anything — a corrupt snapshot leaves the
+// allocating, and LoadSnapshot stages the entire engine (streams and
+// trainers) before publishing anything — a corrupt snapshot leaves the
 // target engine with zero streams.
 #include <chrono>
 #include <cstdint>
@@ -63,7 +57,7 @@
 namespace cerl::stream {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '4'};
+constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '5'};
 
 // SaveSnapshot retries a failed file write this many times, backing off
 // BackoffMs(kSnapshotRetryBackoffMs, retry) before each retry.
@@ -72,14 +66,11 @@ constexpr int kSnapshotRetryBackoffMs = 1;
 
 // Decode-time sanity caps: generous for any real deployment, small enough
 // that a corrupted count fails fast with a descriptive error instead of an
-// attempted allocation (the byte-level guard is BoundedReader::Require) —
-// and, for the dataset dims, small enough that rows * cols * 8 can never
-// overflow uint64 and defeat that guard. The stream/name/journal caps live
-// in snapfmt (stream_internal.h) because the WAL replay path shares them.
+// attempted allocation (the byte-level guard is BoundedReader::Require).
+// The stream and name caps live in snapfmt (stream_internal.h) because the
+// WAL replay path shares them.
 constexpr uint32_t kMaxHiddenLayers = 1u << 10;
 constexpr uint32_t kMaxLayerWidth = 1u << 20;
-constexpr uint32_t kMaxUnits = 1u << 27;
-constexpr uint32_t kMaxFeatures = 1u << 24;
 
 void WriteIntVector(std::string* out, const std::vector<int>& v) {
   WritePod(out, static_cast<uint32_t>(v.size()));
@@ -121,81 +112,10 @@ Status ReadBool(BoundedReader* r, bool* v, const char* what) {
   return Status::Ok();
 }
 
-// --- DataSplit dataset codec (the replay journal) -------------------------
-
-void WriteDataset(std::string* out, const data::CausalDataset& d) {
-  WritePod(out, static_cast<uint32_t>(d.x.rows()));
-  WritePod(out, static_cast<uint32_t>(d.x.cols()));
-  out->append(reinterpret_cast<const char*>(d.x.data()),
-              static_cast<size_t>(d.x.size()) * sizeof(double));
-  for (int t : d.t) WritePod(out, static_cast<uint8_t>(t));
-  WriteF64Vector(out, d.y);
-  WriteF64Vector(out, d.mu0);
-  WriteF64Vector(out, d.mu1);
-}
-
-// A mu column is either aligned with the units or absent (production
-// domains without counterfactual ground truth serialize empty mu vectors).
-Status ReadMuColumn(BoundedReader* r, uint32_t rows, linalg::Vector* v,
-                    const char* what) {
-  uint32_t n = 0;
-  CERL_RETURN_IF_ERROR(r->ReadPod(&n, what));
-  if (n != rows && n != 0) {
-    return Status::IoError(std::string(what) + ": size " + std::to_string(n) +
-                           " does not match unit count " +
-                           std::to_string(rows));
-  }
-  CERL_RETURN_IF_ERROR(
-      r->Require(static_cast<uint64_t>(n) * sizeof(double), what));
-  v->resize(n);
-  return r->ReadRaw(v->data(), static_cast<uint64_t>(n) * sizeof(double),
-                    what);
-}
-
-Status ReadDataset(BoundedReader* r, data::CausalDataset* d,
-                   const char* what) {
-  uint32_t rows = 0, cols = 0;
-  CERL_RETURN_IF_ERROR(r->ReadPod(&rows, what));
-  CERL_RETURN_IF_ERROR(r->ReadPod(&cols, what));
-  // The caps keep rows * cols * 8 far below uint64 overflow (2^27 * 2^24 *
-  // 2^3 = 2^54), so the Require byte check below cannot be defeated by
-  // wraparound.
-  if (rows > kMaxUnits) {
-    return Status::IoError(std::string(what) + ": implausible unit count " +
-                           std::to_string(rows));
-  }
-  if (cols > kMaxFeatures) {
-    return Status::IoError(std::string(what) +
-                           ": implausible feature count " +
-                           std::to_string(cols));
-  }
-  const uint64_t x_bytes = static_cast<uint64_t>(rows) * cols * sizeof(double);
-  CERL_RETURN_IF_ERROR(r->Require(x_bytes, what));
-  d->x.Resize(static_cast<int>(rows), static_cast<int>(cols));
-  CERL_RETURN_IF_ERROR(r->ReadRaw(d->x.data(), x_bytes, what));
-  CERL_RETURN_IF_ERROR(r->Require(rows, what));
-  d->t.resize(rows);
-  for (uint32_t i = 0; i < rows; ++i) {
-    uint8_t b = 0;
-    CERL_RETURN_IF_ERROR(r->ReadPod(&b, what));
-    if (b > 1) {
-      return Status::IoError(std::string(what) +
-                             ": journal treatment is not 0/1");
-    }
-    d->t[i] = b;
-  }
-  CERL_RETURN_IF_ERROR(ReadF64VectorExpected(r, rows, &d->y, what));
-  CERL_RETURN_IF_ERROR(ReadMuColumn(r, rows, &d->mu0, what));
-  CERL_RETURN_IF_ERROR(ReadMuColumn(r, rows, &d->mu1, what));
-  return Status::Ok();
-}
-
 }  // namespace
 
-// Shared snapshot/WAL wire codecs (declared in stream_internal.h): the WAL
-// record payloads reuse the config and split codecs verbatim, so a
-// WAL-replayed domain decodes through the same bounds-checked path as a
-// journaled one.
+// CerlConfig wire codec (declared in stream_internal.h), shared by the
+// snapshot and the WAL registration record.
 namespace snapfmt {
 
 // --- CerlConfig codec (fixed field order; the container magic versions it) -
@@ -218,17 +138,8 @@ void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WritePod(out, static_cast<int32_t>(c.train.sinkhorn.max_iterations));
   WritePod(out, c.train.sinkhorn.tolerance);
   WritePod(out, static_cast<uint8_t>(c.train.sinkhorn.warm_start ? 1 : 0));
-  // Reserved fields, formerly SinkhornConfig::parallel (u8) and
-  // min_parallel_elements (i64): written as the old defaults 1 and 4096 so
-  // older builds read today's behaviour; read as a 0/1 flag and an i64 and
-  // ignored.
-  WritePod(out, static_cast<uint8_t>(1));
-  WritePod(out, static_cast<int64_t>(4096));
   WritePod(out, static_cast<uint64_t>(c.train.seed));
   WritePod(out, static_cast<uint8_t>(c.train.verbose ? 1 : 0));
-  // Reserved byte, formerly async_validation: written 0, read as a 0/1
-  // flag and ignored.
-  WritePod(out, static_cast<uint8_t>(0));
 
   WritePod(out, c.beta);
   WritePod(out, c.delta);
@@ -282,17 +193,10 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->train.sinkhorn.tolerance, "tolerance"));
   CERL_RETURN_IF_ERROR(
       ReadBool(r, &c->train.sinkhorn.warm_start, "warm_start"));
-  // Reserved: formerly parallel and min_parallel_elements; ignored.
-  bool reserved_flag = false;
-  CERL_RETURN_IF_ERROR(ReadBool(r, &reserved_flag, "reserved sinkhorn flag"));
-  int64_t reserved_i64 = 0;
-  CERL_RETURN_IF_ERROR(r->ReadPod(&reserved_i64, "reserved sinkhorn i64"));
   uint64_t seed = 0;
   CERL_RETURN_IF_ERROR(r->ReadPod(&seed, "seed"));
   c->train.seed = seed;
   CERL_RETURN_IF_ERROR(ReadBool(r, &c->train.verbose, "verbose"));
-  bool reserved = false;  // formerly async_validation; may be 1, ignored
-  CERL_RETURN_IF_ERROR(ReadBool(r, &reserved, "reserved config flag"));
 
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->beta, "beta"));
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->delta, "delta"));
@@ -310,19 +214,6 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   return Status::Ok();
 }
 
-void WriteSplit(std::string* out, const data::DataSplit& split) {
-  WriteDataset(out, split.train);
-  WriteDataset(out, split.valid);
-  WriteDataset(out, split.test);
-}
-
-Status ReadSplit(BoundedReader* r, data::DataSplit* split) {
-  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->train, "journal train split"));
-  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->valid, "journal valid split"));
-  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->test, "journal test split"));
-  return Status::Ok();
-}
-
 }  // namespace snapfmt
 
 Status StreamEngine::SerializeSnapshotLocked(std::string* out,
@@ -330,22 +221,14 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
   out->clear();
   // Size hint so the fence's dominant cost — appending cached trainer blobs
   // — is one copy each, not a geometric-growth realloc cascade. Spilled
-  // blobs and journaled splits are fetched later and missing from the
-  // estimate; reserve() is a hint, not a bound.
+  // blobs are fetched later and missing from the estimate; reserve() is a
+  // hint, not a bound.
   size_t reserve_bytes = 64;
   for (const auto& s : streams_) {
     reserve_bytes += s->name.size() + s->last_good.size() + 256;
   }
   out->reserve(reserve_bytes);
   out->append(kMagic, sizeof(kMagic));
-  WritePod(out, static_cast<uint32_t>(pool_.num_threads()));
-  WritePod(out, static_cast<uint8_t>(1));  // reserved
-  // With a WAL attached the journal is elided: every still-queued domain is
-  // already an accepted-domain WAL record, and Recover() replays exactly the
-  // ones at or past each stream's restored completed count. Snapshot size
-  // is then independent of backlog depth.
-  const bool backlog_in_wal = wal_ != nullptr;
-  WritePod(out, static_cast<uint8_t>(backlog_in_wal ? 1 : 0));
   WritePod(out, static_cast<uint32_t>(streams_.size()));
   // Byte ranges of the embedded CERLCKP1 blobs, excluded from the trailing
   // metadata checksum (see the format comment at the top of this file).
@@ -411,17 +294,6 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
       blob_spans.emplace_back(out->size(), blob->size());
       out->append(*blob);
     }
-    // Replay journal: the queue verbatim, in push order (elided when the
-    // backlog lives in the WAL). Restore re-enqueues every journaled domain
-    // through the normal pipeline, whose ingest stage validates it, so the
-    // restored engine enforces exactly the same contract as the original
-    // push.
-    const uint32_t journal_count =
-        backlog_in_wal ? 0u : static_cast<uint32_t>(s->queue.size());
-    WritePod(out, journal_count);
-    if (!backlog_in_wal) {
-      for (const auto& d : s->queue) snapfmt::WriteSplit(out, d->split);
-    }
   }
   // Metadata-only trailing checksum: hash everything except the blob spans
   // (which verify themselves).
@@ -465,7 +337,7 @@ Status StreamEngine::SaveSnapshot(const std::string& path,
       *info = SnapshotInfo();
       info->num_streams = static_cast<int>(streams_.size());
       for (const auto& s : streams_) {
-        info->journaled_domains += static_cast<int>(s->queue.size());
+        info->queued_domains += static_cast<int>(s->queue.size());
         info->completed_domains +=
             s->pushed - static_cast<int>(s->queue.size());
       }
@@ -551,14 +423,8 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   CERL_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::IoError(
-        "bad engine snapshot magic (only CERLENG4 is readable)");
+        "bad engine snapshot magic (only CERLENG5 is readable)");
   }
-  uint32_t saved_workers = 0;
-  uint8_t reserved = 0;  // ignored
-  CERL_RETURN_IF_ERROR(r.ReadPod(&saved_workers, "worker count"));
-  CERL_RETURN_IF_ERROR(r.ReadPod(&reserved, "reserved engine flag"));
-  bool backlog_in_wal = false;
-  CERL_RETURN_IF_ERROR(ReadBool(&r, &backlog_in_wal, "backlog flag"));
   uint32_t num_streams = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&num_streams, "stream count"));
   if (num_streams > snapfmt::kMaxStreams) {
@@ -570,7 +436,6 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   // built (and trainers restored) into a local vector, so any failure below
   // leaves this engine with zero streams.
   std::vector<std::unique_ptr<StreamState>> staged;
-  std::vector<std::vector<data::DataSplit>> journals(num_streams);
   std::vector<std::pair<size_t, size_t>> blob_spans;
   staged.reserve(num_streams);
   for (uint32_t i = 0; i < num_streams; ++i) {
@@ -648,17 +513,6 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
       state->last_good_stage = state->trainer.stages_seen();
     }
     state->pushed = static_cast<int>(completed);
-
-    uint32_t journal_count = 0;
-    CERL_RETURN_IF_ERROR(r.ReadPod(&journal_count, "journal count"));
-    if (journal_count > snapfmt::kMaxJournal) {
-      return Status::IoError("implausible journal count " +
-                             std::to_string(journal_count));
-    }
-    journals[i].resize(journal_count);
-    for (uint32_t j = 0; j < journal_count; ++j) {
-      CERL_RETURN_IF_ERROR(snapfmt::ReadSplit(&r, &journals[i][j]));
-    }
     staged.push_back(std::move(state));
   }
   if (r.remaining() != 0) {
@@ -680,13 +534,6 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     return Status::IoError(
         "engine snapshot: checksum mismatch (corrupted file)");
   }
-  if (backlog_in_wal && wal_ == nullptr) {
-    CERL_LOG(Warning)
-        << "snapshot was written with a WAL attached (its backlog lives "
-        << "there) but this engine has none open — queued-but-untrained "
-        << "domains from the saved engine will not be replayed; use "
-        << "Recover() with the matching wal_path";
-  }
 
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
@@ -698,24 +545,9 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   }
   // Re-publish the serving plane: a restored trained stream is queryable
   // immediately (version restarts at 1 — publish sequence numbers are
-  // engine-lifetime, not durable). Runs before journal replay so queries
-  // never race the rebuilt trainers.
+  // engine-lifetime, not durable). Runs before Recover()'s WAL replay, so
+  // queries never race the rebuilt trainers.
   for (auto& state : streams_) PublishSnapshot(state.get());
-  // Replay the journal: queued-but-untrained work resumes exactly where the
-  // saved engine left it (re-validated and dispatched normally). The
-  // admission-free internal push is deliberate — these domains were already
-  // admitted by the saved engine, so queue bounds do not re-apply, and a
-  // quarantined stream's journal drains through the pipeline as
-  // kUnavailable drops instead of being silently lost here. When THIS
-  // engine has a WAL open (a snapshot saved without one carried its journal
-  // into a WAL-enabled engine), the internal push re-logs each domain —
-  // harmless: a later Recover() skips records below the restored completed
-  // count.
-  for (uint32_t i = 0; i < num_streams; ++i) {
-    for (data::DataSplit& split : journals[i]) {
-      PushDomainInternal(streams_[i].get(), std::move(split));
-    }
-  }
   return Status::Ok();
 }
 

@@ -2,13 +2,13 @@
 // tenants through storage::TenantStore, the accepted-domain write-ahead log,
 // and WAL-based crash recovery (see README "Storage engine & durability").
 //
-// Division of labor with engine_checkpoint.cc: the checkpoint file is the
-// O(dirty) bulk state (trainer blobs + counters at a fence), the WAL is the
-// between-snapshots delta (stream registrations and accepted domains, logged
-// on arrival under state_mutex_ so log order == push order). Recover() is
-// LoadSnapshot + replay of exactly the WAL records the snapshot does not
-// subsume, filtered per stream by domain index — the log needs no global
-// sequence numbers.
+// Division of labor with engine_checkpoint.cc: the snapshot is the O(dirty)
+// learned state (trainer blobs + counters at a fence); the WAL is the only
+// record of accepted-but-untrained domains and of registrations the
+// snapshot predates (logged on arrival under state_mutex_, so log order ==
+// push order). Recover() is LoadSnapshot + replay of exactly the WAL
+// records the snapshot does not subsume, filtered per stream by domain
+// index — the log needs no global sequence numbers.
 //
 // Spill correctness: a spill task runs ON the victim stream's TaskGroup, so
 // it is serialized against that stream's stage pipeline. A push racing the
@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,9 +41,94 @@
 namespace cerl::stream {
 namespace {
 
-// --- WAL record payload codecs (reuse the snapshot's config/split wire
-// format, so a WAL-replayed domain decodes through the same bounds-checked
-// path as a journaled one) -------------------------------------------------
+// --- WAL record payload codecs -------------------------------------------
+
+// Decode-time caps for a logged domain: generous for any real deployment,
+// and small enough that rows * cols * 8 can never overflow uint64 and
+// defeat the BoundedReader::Require byte guard.
+constexpr uint32_t kMaxUnits = 1u << 27;
+constexpr uint32_t kMaxFeatures = 1u << 24;
+
+void WriteDataset(std::string* out, const data::CausalDataset& d) {
+  WritePod(out, static_cast<uint32_t>(d.x.rows()));
+  WritePod(out, static_cast<uint32_t>(d.x.cols()));
+  out->append(reinterpret_cast<const char*>(d.x.data()),
+              static_cast<size_t>(d.x.size()) * sizeof(double));
+  for (int t : d.t) WritePod(out, static_cast<uint8_t>(t));
+  WriteF64Vector(out, d.y);
+  WriteF64Vector(out, d.mu0);
+  WriteF64Vector(out, d.mu1);
+}
+
+// A mu column is either aligned with the units or absent (production
+// domains without counterfactual ground truth serialize empty mu vectors).
+Status ReadMuColumn(BoundedReader* r, uint32_t rows, linalg::Vector* v,
+                    const char* what) {
+  uint32_t n = 0;
+  CERL_RETURN_IF_ERROR(r->ReadPod(&n, what));
+  if (n != rows && n != 0) {
+    return Status::IoError(std::string(what) + ": size " + std::to_string(n) +
+                           " does not match unit count " +
+                           std::to_string(rows));
+  }
+  CERL_RETURN_IF_ERROR(
+      r->Require(static_cast<uint64_t>(n) * sizeof(double), what));
+  v->resize(n);
+  return r->ReadRaw(v->data(), static_cast<uint64_t>(n) * sizeof(double),
+                    what);
+}
+
+Status ReadDataset(BoundedReader* r, data::CausalDataset* d,
+                   const char* what) {
+  uint32_t rows = 0, cols = 0;
+  CERL_RETURN_IF_ERROR(r->ReadPod(&rows, what));
+  CERL_RETURN_IF_ERROR(r->ReadPod(&cols, what));
+  // The caps keep rows * cols * 8 far below uint64 overflow (2^27 * 2^24 *
+  // 2^3 = 2^54), so the Require byte check below cannot be defeated by
+  // wraparound.
+  if (rows > kMaxUnits) {
+    return Status::IoError(std::string(what) + ": implausible unit count " +
+                           std::to_string(rows));
+  }
+  if (cols > kMaxFeatures) {
+    return Status::IoError(std::string(what) +
+                           ": implausible feature count " +
+                           std::to_string(cols));
+  }
+  const uint64_t x_bytes = static_cast<uint64_t>(rows) * cols * sizeof(double);
+  CERL_RETURN_IF_ERROR(r->Require(x_bytes, what));
+  d->x.Resize(static_cast<int>(rows), static_cast<int>(cols));
+  CERL_RETURN_IF_ERROR(r->ReadRaw(d->x.data(), x_bytes, what));
+  CERL_RETURN_IF_ERROR(r->Require(rows, what));
+  d->t.resize(rows);
+  for (uint32_t i = 0; i < rows; ++i) {
+    uint8_t b = 0;
+    CERL_RETURN_IF_ERROR(r->ReadPod(&b, what));
+    if (b > 1) {
+      return Status::IoError(std::string(what) + ": treatment is not 0/1");
+    }
+    d->t[i] = b;
+  }
+  CERL_RETURN_IF_ERROR(ReadF64VectorExpected(r, rows, &d->y, what));
+  CERL_RETURN_IF_ERROR(ReadMuColumn(r, rows, &d->mu0, what));
+  CERL_RETURN_IF_ERROR(ReadMuColumn(r, rows, &d->mu1, what));
+  return Status::Ok();
+}
+
+// DataSplit block: train, valid, test, each u32 rows, u32 cols, f64 x[],
+// u8 t[], u32 n + f64 y[], u32 n + f64 mu0[], u32 n + f64 mu1[].
+void WriteSplit(std::string* out, const data::DataSplit& split) {
+  WriteDataset(out, split.train);
+  WriteDataset(out, split.valid);
+  WriteDataset(out, split.test);
+}
+
+Status ReadSplit(BoundedReader* r, data::DataSplit* split) {
+  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->train, "WAL train split"));
+  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->valid, "WAL valid split"));
+  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->test, "WAL test split"));
+  return Status::Ok();
+}
 
 // kWalAddStream payload: u32 stream_id, u32 name_len, name bytes,
 // u32 input_dim, CerlConfig block.
@@ -95,7 +181,7 @@ std::string EncodeDomainPayload(uint32_t id, uint32_t domain_index,
   std::string p;
   WritePod(&p, id);
   WritePod(&p, domain_index);
-  snapfmt::WriteSplit(&p, split);
+  WriteSplit(&p, split);
   return p;
 }
 
@@ -110,7 +196,7 @@ Status DecodeDomainPayload(std::string_view payload, uint32_t* id,
     return Status::IoError("WAL record: implausible domain index " +
                            std::to_string(*domain_index));
   }
-  CERL_RETURN_IF_ERROR(snapfmt::ReadSplit(&r, split));
+  CERL_RETURN_IF_ERROR(ReadSplit(&r, split));
   if (r.remaining() != 0) {
     return Status::IoError("WAL domain record has trailing bytes");
   }
@@ -202,26 +288,26 @@ Status StreamEngine::Recover(const std::string& snapshot_path) {
         break;
       }
       StreamState* s = streams_[id].get();
-      int pushed = 0;
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        pushed = s->pushed;
-      }
-      // Per-stream index filter (this is what makes compaction, snapshot
-      // overlap, and re-logged snapshot journals all safe): a record below
-      // the stream's push counter is subsumed — already trained into the
-      // restored trainer blob or already re-enqueued — and skipped; the
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      // Per-stream index filter (this is what makes compaction and snapshot
+      // overlap safe): a record below the stream's push counter is subsumed
+      // — already trained into the restored trainer blob — and skipped; the
       // record AT the counter is the next accepted domain and replays; a
       // record past it means accepted domains are missing from the log.
-      if (domain_index < static_cast<uint32_t>(pushed)) continue;
-      if (domain_index > static_cast<uint32_t>(pushed)) {
+      if (domain_index < static_cast<uint32_t>(s->pushed)) continue;
+      if (domain_index > static_cast<uint32_t>(s->pushed)) {
         replayed = Status::IoError(
             "WAL gap: stream " + std::to_string(id) + " expects domain " +
-            std::to_string(pushed) + " next but the log holds " +
+            std::to_string(s->pushed) + " next but the log holds " +
             std::to_string(domain_index));
         break;
       }
-      PushDomainInternal(s, std::move(split));
+      // Admission-free: the saved engine already admitted this domain, so
+      // queue bounds do not re-apply, and a quarantined stream sheds it
+      // through the pipeline as a kUnavailable drop.
+      auto owned = std::make_unique<PendingDomain>();
+      owned->split = std::move(split);
+      EnqueueLocked(s, std::move(owned));
     } else {
       replayed = Status::IoError("unknown WAL record type " +
                                  std::to_string(rec.type));

@@ -126,7 +126,7 @@ Status StreamEngine::PushDomain(int id, data::DataSplit split) {
   // that admits (log order == push order), and a failed append REJECTS the
   // push — the caller must never believe a domain is recoverable when it is
   // not. EnqueueLocked below assigns this domain index (s.pushed).
-  if (wal_ != nullptr && !wal_replaying_) {
+  if (wal_ != nullptr) {
     Status logged = WalLogDomainLocked(s, s.pushed, owned->split);
     if (!logged.ok()) {
       return Status::IoError("domain rejected: WAL append failed: " +
@@ -135,26 +135,6 @@ Status StreamEngine::PushDomain(int id, data::DataSplit split) {
   }
   EnqueueLocked(&s, std::move(owned));
   return Status::Ok();
-}
-
-void StreamEngine::PushDomainInternal(StreamState* s, data::DataSplit split) {
-  auto owned = std::make_unique<PendingDomain>();
-  owned->split = std::move(split);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  // Re-log journaled domains into the WAL: a snapshot saved without a WAL
-  // carries its backlog inline, and those domains were accepted by the
-  // saved engine, so they must stay recoverable here. Suppressed during
-  // Recover()'s own replay; a failure here cannot reject — the domain is
-  // already admitted — so it degrades to a warning.
-  if (wal_ != nullptr && !wal_replaying_) {
-    Status logged = WalLogDomainLocked(*s, s->pushed, owned->split);
-    if (!logged.ok()) {
-      CERL_LOG(Warning) << "stream '" << s->name
-                        << "': journaled domain not re-logged to WAL: "
-                        << logged.ToString();
-    }
-  }
-  EnqueueLocked(s, std::move(owned));
 }
 
 void StreamEngine::EnqueueLocked(StreamState* s,

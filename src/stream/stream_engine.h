@@ -257,7 +257,9 @@ class StreamEngine {
   /// domain joins the stream's queue — its ingest -> train -> migrate
   /// pipeline is dispatched onto the stream's task group as soon as the
   /// previous domain completes (one pipeline in flight per stream, so a
-  /// snapshot can fence at a domain boundary and journal the rest).
+  /// snapshot can fence at a domain boundary). With a WAL open the domain
+  /// is logged before the call returns, and that record is what keeps it
+  /// recoverable until it is trained into a snapshot.
   /// A rejected push leaves no trace: no result slot, no domain index.
   /// Malformed domains are accepted here and dropped by the pipeline with
   /// the validation error recorded in their DomainResult — data-dependent
@@ -356,7 +358,9 @@ class StreamEngine {
   struct SnapshotInfo {
     int num_streams = 0;
     int completed_domains = 0;  ///< fully trained+migrated, summed
-    int journaled_domains = 0;  ///< queued-but-untrained, summed
+    /// Queued-but-untrained at the fence, summed. Not in the snapshot: the
+    /// WAL, when open, holds them and Recover() replays them.
+    int queued_domains = 0;
     /// Streams whose trainer blob had to be re-serialized at the fence:
     /// the cached last-good capture was missing or older than the trainer
     /// (e.g. the trainer was advanced through trainer(id) since).
@@ -375,28 +379,29 @@ class StreamEngine {
   /// dispatch, waits for every stream's in-flight domain pipeline to reach
   /// its domain boundary (workers stay up; queued domains stay queued; a
   /// domain mid-retry resolves — succeeds or drops — before the fence),
-  /// writes a CERLENG4 container — engine options, per-stream name / config
-  /// / completed-domain counter / health state (health, consecutive
-  /// failures, dropped-domain total), learned stage cost rates, each
-  /// stream's embedded CERLCKP1 trainer blob, and a replay journal of the
-  /// still-queued domains so pushed work is never lost (elided when the WAL
-  /// already holds them) — then resumes dispatch. The write is
-  /// crash-safe (temp file + fsync + atomic rename), carries a checksum,
-  /// and transient IO failures are retried up to 3 times with bounded
-  /// exponential backoff (1 ms doubling). Each trainer blob is the stream's
-  /// cached last-good capture when it is current, else a fresh serialize.
-  /// Concurrent PushDomain is safe: a push lands either in the journal or
-  /// in the resumed queue.
+  /// writes a CERLENG5 manifest — per-stream name / config /
+  /// completed-domain counter / health state (health, consecutive
+  /// failures, dropped-domain total), learned stage cost rates and the
+  /// embedded CERLCKP1 trainer blob — then resumes dispatch. Domains still
+  /// queued at the fence are not written: with a WAL open they are already
+  /// logged, the WAL is compacted down to them (plus registrations the
+  /// snapshot predates), and Recover() replays them; without a WAL the
+  /// snapshot holds trained state only, the same durability every push has
+  /// between snapshots. The write is crash-safe (temp file + fsync +
+  /// atomic rename), carries a checksum, and transient IO failures are
+  /// retried up to 3 times with bounded exponential backoff (1 ms
+  /// doubling). Each trainer blob is the stream's cached last-good capture
+  /// when it is current, else a fresh serialize. Concurrent PushDomain is
+  /// safe: a push lands in the resumed queue (and in the kept WAL tail).
   Status SaveSnapshot(const std::string& path, SnapshotInfo* info = nullptr);
 
   /// Rebuilds a saved engine into THIS engine, which must be freshly
   /// constructed (no streams registered): re-creates every stream from its
   /// serialized config, restores each trainer bit-identically (re-seeding
   /// its last-good rollback blob), restores health/quarantine state, and
-  /// re-enqueues the journaled domains in their original order (training
-  /// resumes immediately on the engine's workers; a quarantined stream's
-  /// journal drains through the pipeline as kUnavailable drops, exactly as
-  /// it would have in the saved engine). Reads CERLENG4 only: any other
+  /// re-publishes each trained stream's effect snapshot. The restored
+  /// engine is idle: the domains that were queued at the fence come back
+  /// only through Recover()'s WAL replay. Reads CERLENG5 only: any other
   /// magic is kIoError. Worker count stays as THIS engine was constructed
   /// — it is a runtime scheduling choice, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient
@@ -417,9 +422,10 @@ class StreamEngine {
   /// WAL record the snapshot does not subsume — stream registrations the
   /// snapshot predates, and per stream exactly the accepted domains whose
   /// index is at or past its restored completed count, in original push
-  /// order. The rebuilt engine trains on bit-identically to the
-  /// uninterrupted run. Requires a fresh engine; snapshot_path may be ""
-  /// (WAL-only recovery).
+  /// order (admission-free: queue bounds do not re-apply, and a quarantined
+  /// stream sheds them through the pipeline as kUnavailable drops). The
+  /// rebuilt engine trains on bit-identically to the uninterrupted run.
+  /// Requires a fresh engine; snapshot_path may be "" (WAL-only recovery).
   Status Recover(const std::string& snapshot_path);
 
   /// Faults stream `id`'s state back in from the page store if it was
@@ -450,12 +456,6 @@ class StreamEngine {
 
   StreamState& stream(int id);
   const StreamState& stream(int id) const;
-
-  /// Admission-free push used by LoadSnapshot's journal replay: journaled
-  /// domains were already admitted by the saved engine, so they re-enter
-  /// the queue regardless of queue bounds or quarantine (the pipeline then
-  /// sheds a quarantined stream's domains with kUnavailable).
-  void PushDomainInternal(StreamState* s, data::DataSplit split);
 
   /// Queues an admitted domain and dispatches if the stream is idle. Caller
   /// holds state_mutex_.
@@ -513,16 +513,16 @@ class StreamEngine {
   /// Builds the stats snapshot of one stream. Caller holds state_mutex_.
   StreamSchedStats SchedStatsLocked(const StreamState& s) const;
 
-  /// Builds the CERLENG4 payload. Caller holds state_mutex_ with dispatch
+  /// Builds the CERLENG5 payload. Caller holds state_mutex_ with dispatch
   /// paused and no in-flight domains (SaveSnapshot's boundary wait).
   /// Fills the blob-reuse counters of `info` when non-null.
   Status SerializeSnapshotLocked(std::string* out, SnapshotInfo* info);
 
   // --- Storage plane internals (engine_storage.cc) ----------------------
 
-  /// Logs a stream registration / accepted domain to the WAL (no-op when
-  /// the WAL is closed or a replay is feeding the push back in). Callers
-  /// hold state_mutex_, which serializes appends with push order.
+  /// Appends a stream registration / accepted domain record to the open
+  /// WAL. Callers hold state_mutex_, which serializes appends with push
+  /// order.
   Status WalLogAddStreamLocked(const StreamState& s);
   Status WalLogDomainLocked(const StreamState& s, int domain_index,
                             const data::DataSplit& split);
@@ -575,7 +575,7 @@ class StreamEngine {
   std::unique_ptr<storage::BufferPool> buffer_pool_;
   std::unique_ptr<storage::TenantStore> store_;
   std::unique_ptr<storage::Wal> wal_;
-  /// True while Recover() feeds WAL records back through the push path —
+  /// True while Recover() re-registers logged streams through AddStream —
   /// suppresses re-logging them. Only touched single-threaded (Recover
   /// runs on a fresh engine before concurrent use).
   bool wal_replaying_ = false;

@@ -78,7 +78,8 @@ struct StreamEngine::StreamState {
   // domains wait in `queue`; exactly one domain owns the stage pipeline at a
   // time (`in_flight`). This is what gives SaveSnapshot a consistent fence —
   // waiting out one pipeline per stream reaches a state where every trainer
-  // sits between domains and the queue is exactly the work to journal.
+  // sits between domains and the queue is exactly the untrained backlog
+  // (which the WAL, when open, already holds).
   std::deque<std::unique_ptr<PendingDomain>> queue;
   std::unique_ptr<PendingDomain> in_flight;
   std::vector<DomainResult> results;
@@ -135,26 +136,25 @@ struct StreamEngine::StreamState {
   std::vector<std::shared_ptr<const serve::EffectSnapshot>> retired;
 };
 
-// Snapshot wire codecs shared by engine_checkpoint.cc (CERLENG containers)
-// and engine_storage.cc (WAL record payloads reuse the config and split
-// codecs verbatim, so a WAL-replayed domain decodes through the same
-// bounds-checked path as a journaled one). Defined in engine_checkpoint.cc.
+// Wire format shared by engine_checkpoint.cc (the CERLENG5 snapshot) and
+// engine_storage.cc (WAL records): the CerlConfig codec, defined in
+// engine_checkpoint.cc, is embedded verbatim in both.
 namespace snapfmt {
 
 // Decode-time sanity caps (see engine_checkpoint.cc for the rationale).
 inline constexpr uint32_t kMaxStreams = 1u << 16;
 inline constexpr uint32_t kMaxNameLen = 1u << 12;
-inline constexpr uint32_t kMaxJournal = 1u << 20;
 
 void WriteConfig(std::string* out, const core::CerlConfig& c);
 Status ReadConfig(BoundedReader* r, core::CerlConfig* c);
-void WriteSplit(std::string* out, const data::DataSplit& split);
-Status ReadSplit(BoundedReader* r, data::DataSplit* split);
 
 // WAL record types (storage::Wal is payload-agnostic; these tag the
-// engine's records).
-inline constexpr uint32_t kWalAddStream = 1;
+// engine's records). Type 1 was the registration record of the CERLENG4
+// era, whose config block carried three more (ignored) fields; it is
+// retired, so such a record replays as an unknown type (kIoError) instead
+// of being misparsed.
 inline constexpr uint32_t kWalDomain = 2;
+inline constexpr uint32_t kWalAddStream = 3;
 
 }  // namespace snapfmt
 

@@ -29,7 +29,7 @@ uint64_t Fnv1a64(std::string_view data);
 /// Incremental FNV-1a 64: Update() in pieces, digest() at any point.
 /// Feeding the same bytes in any segmentation yields Fnv1a64 of their
 /// concatenation — used where a container checksum must skip embedded
-/// self-checksummed spans (CERLENG4 trainer blobs) or cover disjoint
+/// self-checksummed spans (CERLENG5 trainer blobs) or cover disjoint
 /// header+payload pieces (WAL records).
 class Fnv1a64Stream {
  public:

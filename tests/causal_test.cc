@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "causal/cfr.h"
 #include "causal/herding.h"
@@ -113,6 +115,44 @@ double HerdingScore(const Matrix& rows, const std::vector<int>& prefix,
     dist += v * v;
   }
   return dist;
+}
+
+// Direct-form herding (the original O(count·n·d) scalar scan), the oracle
+// HerdingSelect is tested against: pick the argmin over unused candidates
+// of || mean - (sum + x_c) / (k + 1) ||^2, first minimum on ties.
+std::vector<int> HerdingSelectReference(const linalg::Matrix& rows,
+                                        int count) {
+  const int n = rows.rows();
+  const int d = rows.cols();
+  const linalg::Vector mean = linalg::ColumnMeans(rows);
+  std::vector<int> selected;
+  selected.reserve(count);
+  std::vector<char> used(n, 0);
+  linalg::Vector running_sum(d, 0.0);
+
+  for (int k = 0; k < count; ++k) {
+    int best = -1;
+    double best_dist = std::numeric_limits<double>::infinity();
+    const double inv = 1.0 / static_cast<double>(k + 1);
+    for (int c = 0; c < n; ++c) {
+      if (used[c]) continue;
+      const double* row = rows.row(c);
+      double dist = 0.0;
+      for (int j = 0; j < d; ++j) {
+        const double v = mean[j] - (running_sum[j] + row[j]) * inv;
+        dist += v * v;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = c;
+      }
+    }
+    used[best] = 1;
+    selected.push_back(best);
+    const double* row = rows.row(best);
+    for (int j = 0; j < d; ++j) running_sum[j] += row[j];
+  }
+  return selected;
 }
 
 // The expanded-norm fast path must pick the same exemplars, in the same

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -258,9 +259,10 @@ TEST_F(ChaosSoakTest, TransientFaultRecoversBitIdentically) {
                              domains[0].test.x, "transient");
 }
 
-// A snapshot taken while chaos is in progress must restore with the health
+// A snapshot taken while chaos is in progress must recover with the health
 // plane intact: the quarantined tenant stays quarantined (and still rejects
-// pushes), the healthy tenant continues bit-identically.
+// pushes), the healthy tenant continues bit-identically (its domains still
+// queued at the fence replay from the WAL).
 TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
   const int kPreDomains = 2;   // before the snapshot
   const int kPostDomains = 1;  // after the restore
@@ -287,8 +289,12 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
                               /*probability=*/1.0, /*max_fires=*/0,
                               /*seed=*/31);
   const std::string path = ::testing::TempDir() + "/chaos_mid.snap";
+  StreamEngineOptions durable = options;
+  durable.wal_path = ::testing::TempDir() + "/chaos_mid.wal";
+  std::remove(durable.wal_path.c_str());
   {
-    StreamEngine original(options);
+    StreamEngine original(durable);
+    ASSERT_TRUE(original.OpenStorage().ok());
     const int good = original.AddStream("tenant-good", good_config,
                                         kFeatures);
     const int sick = original.AddStream("tenant-sick", sick_config,
@@ -298,20 +304,20 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
       (void)original.PushDomain(sick, sick_domains[d]);
     }
     // Snapshot WITH the faults still armed and work possibly queued: the
-    // fence waits out in-flight attempts (including their retries) and
-    // journals the rest.
+    // fence waits out in-flight attempts (including their retries); the
+    // rest stays in the compacted WAL.
     ASSERT_TRUE(original.SaveSnapshot(path).ok());
     original.Drain();
     ASSERT_EQ(original.health(sick), StreamHealth::kQuarantined);
   }
 
-  // "New process": faults disarmed, snapshot restored. Whatever of the
-  // sick tenant's history was journaled replays cleanly now — but its
-  // PERSISTED health must dominate: a stream snapshotted as quarantined
+  // "New process": faults disarmed, snapshot + WAL recovered. Whatever of
+  // the sick tenant's history was still queued replays cleanly now — but
+  // its PERSISTED health must dominate: a stream snapshotted as quarantined
   // must come back quarantined even though the fault is gone.
   FaultInjector::Global().Reset();
-  StreamEngine restored(options);
-  ASSERT_TRUE(restored.LoadSnapshot(path).ok());
+  StreamEngine restored(durable);
+  ASSERT_TRUE(restored.Recover(path).ok());
   restored.Drain();
   ASSERT_EQ(restored.num_streams(), 2);
 

@@ -1,4 +1,4 @@
-// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG4
+// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG5
 // engine snapshot: programmatic truncation at EVERY byte offset and byte
 // flips across header/dims/blob regions must all come back as clean Status
 // errors — no crash, no OOM-sized allocation, and no partial mutation of the
@@ -71,8 +71,8 @@ const std::string& ValidTrainerPayload() {
   return *payload;
 }
 
-// A 2-stream engine snapshot with one trained domain and one journaled
-// domain per stream (built once per suite).
+// A 2-stream engine snapshot with two trained domains per stream (built
+// once per suite).
 const std::string& ValidEnginePayload() {
   static const std::string* payload = [] {
     stream::StreamEngineOptions options;
@@ -87,9 +87,7 @@ const std::string& ValidEnginePayload() {
     engine.Drain();
     engine.PushDomain(a, splits_a[1]);
     engine.PushDomain(b, splits_b[1]);
-    // Snapshot immediately: domain 2 of each stream is typically still
-    // queued or in flight; either way the container is structurally full
-    // (trainer blobs + possibly a journal), which is all this suite needs.
+    engine.Drain();
     const std::string path = ::testing::TempDir() + "/corrupt_engine.snap";
     Status s = engine.SaveSnapshot(path);
     CERL_CHECK_MSG(s.ok(), s.ToString().c_str());
@@ -256,19 +254,24 @@ TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
 
   // Bad magic.
   ExpectEngineRejects(&engine, Refinalized("Y" + payload.substr(1)));
-  // Absurd stream count (offset 8+4+1+1 = 14: workers u32, validate u8,
-  // backlog-in-wal u8 — the CERLENG4 header).
+  // Absurd stream count (offset 8: the u32 right after the CERLENG5 magic).
   {
     std::string p = payload;
+    uint32_t count = 0;
+    std::memcpy(&count, p.data() + 8, 4);
+    ASSERT_EQ(count, 2u);  // the offset really is the stream count
     const uint32_t huge = 0x7fffffff;
-    std::memcpy(p.data() + 14, &huge, 4);
+    std::memcpy(p.data() + 8, &huge, 4);
     ExpectEngineRejects(&engine, Refinalized(p));
   }
-  // Absurd stream-name length (first stream's name_len at offset 18).
+  // Absurd stream-name length (first stream's name_len at offset 12).
   {
     std::string p = payload;
+    uint32_t name_len = 0;
+    std::memcpy(&name_len, p.data() + 12, 4);
+    ASSERT_EQ(name_len, 1u);  // stream "a"
     const uint32_t huge = 0x00ffffff;
-    std::memcpy(p.data() + 18, &huge, 4);
+    std::memcpy(p.data() + 12, &huge, 4);
     ExpectEngineRejects(&engine, Refinalized(p));
   }
   // Truncations with recomputed checksums: bounds checks must fire.

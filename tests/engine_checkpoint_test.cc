@@ -1,10 +1,12 @@
 // Tests for StreamEngine::SaveSnapshot / LoadSnapshot: drain-consistent
 // multi-stream checkpoints taken UNDER LOAD (domains still queued), bitwise
-// continuation after restore (journal replay included), fresh-engine
-// preconditions, and all-or-nothing restore on bad input.
+// continuation after restore (the queued backlog replayed from the WAL by
+// Recover), fresh-engine preconditions, and all-or-nothing restore on bad
+// input.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -91,10 +93,11 @@ void ExpectTrainersBitIdentical(CerlTrainer* a, CerlTrainer* b,
   EXPECT_EQ(a->memory().t(), b->memory().t()) << tag;
 }
 
-// The acceptance scenario: a 4-stream engine is snapshotted WHILE domains
-// are still queued (non-empty journal), restored into a fresh engine, and
-// the continuation — journal replay plus one extra pushed domain per stream
-// — must be bitwise identical to the uninterrupted run.
+// The acceptance scenario: a 4-stream engine with a WAL is snapshotted
+// WHILE domains are still queued, recovered into a fresh engine (snapshot
+// plus the WAL records of the queued domains), and the continuation — WAL
+// replay plus one extra pushed domain per stream — must be bitwise
+// identical to the uninterrupted run.
 TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
   const int kStreams = 4;
   const int kSnapshotDomains = 4;  // pushed before the snapshot
@@ -123,11 +126,16 @@ TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
 
   // Snapshotted run: push the first kSnapshotDomains of every stream, then
   // snapshot immediately — training a domain takes far longer than reaching
-  // the snapshot fence, so most of the queue must land in the journal.
+  // the snapshot fence, so most of the queue is still queued there and
+  // survives only as WAL records.
   const std::string path = ::testing::TempDir() + "/engine_underload.snap";
+  StreamEngineOptions durable = options;
+  durable.wal_path = ::testing::TempDir() + "/engine_underload.wal";
+  std::remove(durable.wal_path.c_str());
   StreamEngine::SnapshotInfo info;
   {
-    StreamEngine original(options);
+    StreamEngine original(durable);
+    ASSERT_TRUE(original.OpenStorage().ok());
     std::vector<int> ids;
     for (int s = 0; s < kStreams; ++s) {
       ids.push_back(original.AddStream("tenant-" + std::to_string(s),
@@ -137,20 +145,21 @@ TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
       }
     }
     ASSERT_TRUE(original.SaveSnapshot(path, &info).ok());
-    // The acceptance criterion requires the journal-replay path to be
-    // exercised: work must still have been queued at the fence.
-    ASSERT_GT(info.journaled_domains, 0);
+    // The WAL-replay path must be exercised: work must still have been
+    // queued at the fence.
+    ASSERT_GT(info.queued_domains, 0);
     EXPECT_EQ(info.num_streams, kStreams);
-    EXPECT_EQ(info.completed_domains + info.journaled_domains,
+    EXPECT_EQ(info.completed_domains + info.queued_domains,
               kStreams * kSnapshotDomains);
     // The original engine keeps serving after the snapshot.
     original.Drain();
   }
 
-  // Restore into a fresh engine ("new process"), let the journal replay,
-  // push the remaining domains, and compare against the reference.
-  StreamEngine restored(options);
-  ASSERT_TRUE(restored.LoadSnapshot(path).ok());
+  // Recover into a fresh engine ("new process"), let the queued domains
+  // replay from the WAL, push the remaining domains, and compare against the
+  // reference.
+  StreamEngine restored(durable);
+  ASSERT_TRUE(restored.Recover(path).ok());
   ASSERT_EQ(restored.num_streams(), kStreams);
   for (int s = 0; s < kStreams; ++s) {
     EXPECT_EQ(restored.name(s), "tenant-" + std::to_string(s));
@@ -164,8 +173,8 @@ TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
     ExpectTrainersBitIdentical(&reference.trainer(ref_ids[s]),
                                &restored.trainer(s), domains[s][0].test.x,
                                "stream " + std::to_string(s));
-    // Domain indices continue across the restart: the journaled and
-    // newly pushed domains carry their original positions.
+    // Domain indices continue across the restart: the replayed and newly
+    // pushed domains carry their original positions.
     const std::vector<DomainResult>& results = restored.results(s);
     ASSERT_FALSE(results.empty());
     EXPECT_EQ(results.back().domain_index,
@@ -188,12 +197,12 @@ TEST(EngineCheckpointTest, DrainedSnapshotRoundTripsAndKeepsServing) {
   const std::string path = ::testing::TempDir() + "/engine_drained.snap";
   StreamEngine::SnapshotInfo info;
   ASSERT_TRUE(original.SaveSnapshot(path, &info).ok());
-  EXPECT_EQ(info.journaled_domains, 0);
+  EXPECT_EQ(info.queued_domains, 0);
   EXPECT_EQ(info.completed_domains, 2);
 
   StreamEngine restored(options);
   ASSERT_TRUE(restored.LoadSnapshot(path).ok());
-  restored.Drain();  // empty journal: immediately idle
+  restored.Drain();  // nothing was queued: immediately idle
   ExpectTrainersBitIdentical(&original.trainer(id), &restored.trainer(0),
                              domains[0].test.x, "drained");
 
@@ -204,6 +213,36 @@ TEST(EngineCheckpointTest, DrainedSnapshotRoundTripsAndKeepsServing) {
   restored.Drain();
   ExpectTrainersBitIdentical(&original.trainer(id), &restored.trainer(0),
                              domains[0].test.x, "drained+1");
+}
+
+// Without a WAL the snapshot is the trained state alone: whatever was still
+// queued at the fence is not in the file, the restored engine is idle, and
+// the stream resumes at its completed-domain count.
+TEST(EngineCheckpointTest, SnapshotWithoutWalHoldsTrainedStateOnly) {
+  const CerlConfig config = FastConfig(66);
+  const std::vector<DataSplit> domains = MakeStream(53, 4, 0.6);
+  StreamEngineOptions options;
+  options.num_workers = 2;
+  StreamEngine original(options);
+  const int id = original.AddStream("no-wal", config, kFeatures);
+  for (const DataSplit& split : domains) {
+    ASSERT_TRUE(original.PushDomain(id, split).ok());
+  }
+  const std::string path = ::testing::TempDir() + "/engine_no_wal.snap";
+  StreamEngine::SnapshotInfo info;
+  ASSERT_TRUE(original.SaveSnapshot(path, &info).ok());
+  EXPECT_EQ(info.completed_domains + info.queued_domains, 4);
+  original.Drain();
+
+  StreamEngine restored(options);
+  ASSERT_TRUE(restored.LoadSnapshot(path).ok());
+  restored.Drain();
+  EXPECT_TRUE(restored.results(0).empty());  // nothing queued came back
+  EXPECT_EQ(restored.trainer(0).stages_seen(), info.completed_domains);
+  ASSERT_TRUE(restored.PushDomain(0, domains[3]).ok());
+  restored.Drain();
+  ASSERT_EQ(restored.results(0).size(), 1u);
+  EXPECT_EQ(restored.results(0)[0].domain_index, info.completed_domains);
 }
 
 TEST(EngineCheckpointTest, SnapshotOfEngineWithUntrainedStream) {
@@ -326,7 +365,7 @@ TEST(EngineCheckpointTest, SaveSnapshotRetriesTransientIoFailure) {
   EXPECT_EQ(exhausted.code(), StatusCode::kIoError);
 }
 
-// CERLENG4 blob reuse: a stream whose trainer is unchanged since its last
+// CERLENG5 blob reuse: a stream whose trainer is unchanged since its last
 // blob capture is embedded from the cache (reused), not re-serialized
 // (dirty), and the cached blob restores bit-identically to the live trainer.
 TEST(EngineCheckpointTest, SnapshotInfoCountsReusedAndDirtyBlobs) {

@@ -1,25 +1,34 @@
-// Golden-format compatibility: small CERLCKP1 / CERLENG4 fixtures are
+// Golden-format compatibility: small CERLCKP1 / CERLENG5 / WAL fixtures are
 // committed under tests/testdata/ and every build must keep loading them
 // bit-identically (PredictIte parity against committed hexfloat values).
 // This freezes the on-disk formats — an accidental layout change breaks
-// these tests, not production restores. CERLENG4 is the only engine format
-// the reader accepts; the older container magics are typed load errors.
+// these tests, not production restores. CERLENG5 is the only engine format
+// the reader accepts; the older container magics are typed load errors, and
+// so is a WAL registration record in the older config layout.
 //
 // Regenerating (only when the format is INTENTIONALLY revised):
 //   CERL_REGEN_GOLDEN=1 ./build/tests/golden_format_test
 // rewrites the fixtures in the source tree; commit them with the change.
+// The committed trainer blobs (golden_trainer.ckpt and the two inside
+// golden_engine.snap) were trained before the ELU/tanh forwards moved to
+// the kernel layer's expm1 core, and golden_expected.txt pins them under
+// today's kernels. A regeneration retrains them, so it also rewrites
+// golden_trainer.ckpt and every hexfloat in golden_expected.txt.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cerl_trainer.h"
 #include "data/synthetic.h"
 #include "linalg/simd.h"
+#include "storage/wal.h"
 #include "stream/stream_engine.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
@@ -53,7 +62,11 @@ constexpr int kProbeRows = 12;
 std::string TestDataDir() { return CERL_TESTDATA_DIR; }
 std::string TrainerFixture() { return TestDataDir() + "/golden_trainer.ckpt"; }
 std::string EngineFixture() { return TestDataDir() + "/golden_engine.snap"; }
+std::string WalFixture() { return TestDataDir() + "/golden_engine.wal"; }
 std::string ExpectedFile() { return TestDataDir() + "/golden_expected.txt"; }
+std::string WalExpectedFile() {
+  return TestDataDir() + "/golden_wal_expected.txt";
+}
 
 bool RegenRequested() {
   const char* env = std::getenv("CERL_REGEN_GOLDEN");
@@ -107,7 +120,7 @@ Matrix ProbeInputs() {
 
 // The expected-values file: one "%a" hexfloat per line, sections separated
 // by labels. Hexfloat round-trips doubles exactly, so parity is bitwise.
-void WriteExpected(const std::vector<Vector>& sections,
+void WriteExpected(const std::string& path, const std::vector<Vector>& sections,
                    const std::vector<std::string>& labels) {
   std::string out;
   for (size_t s = 0; s < sections.size(); ++s) {
@@ -118,14 +131,15 @@ void WriteExpected(const std::vector<Vector>& sections,
       out += buf;
     }
   }
-  Status written = WriteFileAtomic(ExpectedFile(), out);
+  Status written = WriteFileAtomic(path, out);
   ASSERT_TRUE(written.ok()) << written.ToString();
 }
 
-std::vector<Vector> ReadExpected(size_t num_sections) {
+std::vector<Vector> ReadExpected(size_t num_sections,
+                                 const std::string& path = ExpectedFile()) {
   std::vector<Vector> sections;
-  std::ifstream in(ExpectedFile());
-  EXPECT_TRUE(in.good()) << "missing fixture " << ExpectedFile();
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -159,44 +173,85 @@ void RegenerateTrainerFixture(Vector* expected_ite) {
   *expected_ite = trainer.PredictIte(ProbeInputs());
 }
 
-// Builds the golden engine state: 2 streams; each has one trained domain
-// and one journaled domain (pushed back-to-back, so domain 0 is in flight
-// and domain 1 is still queued when the snapshot fence lands).
-void RegenerateEngineFixture(Vector* expected_a, Vector* expected_b) {
+// The golden engine's two streams, each two domains long.
+std::vector<DataSplit> GoldenEngineData(int stream) {
+  return GoldenStreamData(2, 3002 + static_cast<uint64_t>(stream));
+}
+
+stream::StreamEngineOptions GoldenEngineOptions() {
   stream::StreamEngineOptions options;
   options.num_workers = 2;
-  stream::StreamEngine engine(options);
-  auto splits_a = GoldenStreamData(2, 3002);
-  auto splits_b = GoldenStreamData(2, 3003);
+  return options;
+}
+
+// On an engine restored from the fixture, pushes domain 1 of each stream and
+// drains — the continuation the expected hexfloats pin.
+void ContinueEngineFixture(stream::StreamEngine* engine) {
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_TRUE(engine->PushDomain(s, GoldenEngineData(s)[1]).ok());
+  }
+  engine->Drain();
+}
+
+// Builds the golden engine state: 2 streams, each drained after domain 0,
+// then snapshotted. Drained first, so the fixture does not depend on where
+// the snapshot fence lands.
+void RegenerateEngineFixture(Vector* expected_a, Vector* expected_b) {
+  stream::StreamEngine engine(GoldenEngineOptions());
   const int a = engine.AddStream("golden-a", GoldenStreamConfig(41),
                                  kGoldenDim);
   const int b = engine.AddStream("golden-b", GoldenStreamConfig(42),
                                  kGoldenDim);
-  engine.PushDomain(a, splits_a[0]);
-  engine.PushDomain(a, splits_a[1]);
-  engine.PushDomain(b, splits_b[0]);
-  engine.PushDomain(b, splits_b[1]);
-  stream::StreamEngine::SnapshotInfo info;
-  ASSERT_TRUE(engine.SaveSnapshot(EngineFixture(), &info).ok());
-  // The fixture must exercise the journal codec.
-  ASSERT_GT(info.journaled_domains, 0) << "regen raced: rerun";
+  ASSERT_TRUE(engine.PushDomain(a, GoldenEngineData(0)[0]).ok());
+  ASSERT_TRUE(engine.PushDomain(b, GoldenEngineData(1)[0]).ok());
+  engine.Drain();
+  ASSERT_TRUE(engine.SaveSnapshot(EngineFixture()).ok());
 
   // Expected values come from REPLAYING the fixture, so verification does
   // not depend on this process's engine continuing.
-  stream::StreamEngine replay(options);
+  stream::StreamEngine replay(GoldenEngineOptions());
   ASSERT_TRUE(replay.LoadSnapshot(EngineFixture()).ok());
-  replay.Drain();
+  ContinueEngineFixture(&replay);
   *expected_a = replay.trainer(0).PredictIte(ProbeInputs());
   *expected_b = replay.trainer(1).PredictIte(ProbeInputs());
+}
+
+// Builds the golden WAL: the registration of stream golden-a and its
+// domain 0, exactly as a WAL-enabled engine logs them on arrival.
+void RegenerateWalFixture(Vector* expected) {
+  std::remove(WalFixture().c_str());
+  stream::StreamEngineOptions options = GoldenEngineOptions();
+  options.wal_path = WalFixture();
+  stream::StreamEngine engine(options);
+  ASSERT_TRUE(engine.OpenStorage().ok());
+  const int a = engine.AddStream("golden-a", GoldenStreamConfig(41),
+                                 kGoldenDim);
+  ASSERT_TRUE(engine.PushDomain(a, GoldenEngineData(0)[0]).ok());
+  engine.Drain();
+  *expected = engine.trainer(a).PredictIte(ProbeInputs());
+}
+
+// A scratch copy of the WAL fixture: Recover appends to the log it opens,
+// and the committed fixture must stay untouched.
+std::string WalFixtureCopy(const std::string& name) {
+  Result<std::string> bytes = ReadFileToString(WalFixture());
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  EXPECT_TRUE(WriteFileAtomic(path, bytes.ok() ? bytes.value() : "").ok());
+  return path;
 }
 
 TEST(GoldenFormatTest, RegenerateIfRequested) {
   if (!RegenRequested()) return;
   ScalarKernelGuard scalar_guard;
-  Vector trainer_ite, engine_a, engine_b;
+  Vector trainer_ite, engine_a, engine_b, wal_a;
   RegenerateTrainerFixture(&trainer_ite);
   RegenerateEngineFixture(&engine_a, &engine_b);
-  WriteExpected({trainer_ite, engine_a, engine_b},
+  RegenerateWalFixture(&wal_a);
+  WriteExpected(WalExpectedFile(), {wal_a},
+                {"WAL-recovered stream golden-a PredictIte"});
+  WriteExpected(ExpectedFile(), {trainer_ite, engine_a, engine_b},
                 {"trainer PredictIte", "engine stream golden-a PredictIte",
                  "engine stream golden-b PredictIte"});
 }
@@ -215,17 +270,21 @@ TEST(GoldenFormatTest, TrainerFixtureLoadsBitIdentically) {
 TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
   ScalarKernelGuard scalar_guard;
   const std::vector<Vector> expected = ReadExpected(3);
-  stream::StreamEngineOptions options;
-  options.num_workers = 2;
-  stream::StreamEngine engine(options);
+  stream::StreamEngine engine(GoldenEngineOptions());
   Status s = engine.LoadSnapshot(EngineFixture());
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_EQ(engine.num_streams(), 2);
   EXPECT_EQ(engine.name(0), "golden-a");
   EXPECT_EQ(engine.name(1), "golden-b");
-  // Journal replay is part of the frozen semantics: draining trains the
-  // journaled domain of each stream, deterministically.
-  engine.Drain();
+  EXPECT_EQ(engine.trainer(0).stages_seen(), 1);
+  EXPECT_EQ(engine.trainer(1).stages_seen(), 1);
+  // Continuing is part of the frozen semantics: domain 1 of each stream
+  // trains on the restored state deterministically, at domain index 1.
+  ContinueEngineFixture(&engine);
+  for (int stream = 0; stream < 2; ++stream) {
+    ASSERT_EQ(engine.results(stream).size(), 1u);
+    EXPECT_EQ(engine.results(stream)[0].domain_index, 1);
+  }
   EXPECT_EQ(engine.trainer(0).stages_seen(), 2);
   EXPECT_EQ(engine.trainer(1).stages_seen(), 2);
   ExpectExactly(engine.trainer(0).PredictIte(ProbeInputs()), expected[1],
@@ -234,13 +293,86 @@ TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
                 "golden engine stream b");
 }
 
-// Pre-CERLENG4 containers are no longer readable: the CERLENG4 fixture with
-// a legacy magic is a typed IO error and leaves the engine with zero streams.
+// The WAL fixture (one registration record, one domain record) replays
+// through Recover into a trained stream golden-a, bit for bit.
+TEST(GoldenFormatTest, WalFixtureRecoversBitIdentically) {
+  ScalarKernelGuard scalar_guard;
+  const std::vector<Vector> expected = ReadExpected(1, WalExpectedFile());
+  stream::StreamEngineOptions options = GoldenEngineOptions();
+  options.wal_path = WalFixtureCopy("golden_recover.wal");
+  stream::StreamEngine engine(options);
+  Status s = engine.Recover("");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(engine.num_streams(), 1);
+  EXPECT_EQ(engine.name(0), "golden-a");
+  engine.Drain();
+  ASSERT_EQ(engine.results(0).size(), 1u);
+  EXPECT_EQ(engine.results(0)[0].domain_index, 0);
+  EXPECT_EQ(engine.trainer(0).config().train.seed, 41u);
+  ExpectExactly(engine.trainer(0).PredictIte(ProbeInputs()), expected[0],
+                "WAL-recovered stream");
+  std::remove(options.wal_path.c_str());
+}
+
+// A registration record in the CERLENG4-era layout — its config block
+// carried three more fields after warm_start and verbose — must be a typed
+// IO error on replay, never parsed into a wrong config.
+TEST(GoldenFormatTest, LegacyWalRegistrationRecordIsIoError) {
+  const std::string copy = WalFixtureCopy("golden_legacy_src.wal");
+  Result<std::unique_ptr<storage::Wal>> fixture = storage::Wal::Open(copy, {});
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  const std::vector<storage::Wal::Record> records =
+      fixture.value()->recovered();
+  ASSERT_EQ(records.size(), 2u);
+  fixture.value().reset();
+  std::remove(copy.c_str());
+
+  // Registration payload: u32 id, u32 name_len, "golden-a", u32 input_dim
+  // (20 bytes), then the config; its warm_start flag ends at byte 100, and
+  // the u64 seed and u8 verbose follow.
+  std::string legacy = records[0].payload;
+  uint64_t seed = 0;
+  ASSERT_GT(legacy.size(), 109u);
+  std::memcpy(&seed, legacy.data() + 100, sizeof(seed));
+  ASSERT_EQ(seed, 41u);  // the offsets above really frame the seed
+  ASSERT_EQ(legacy[108], 0);  // verbose
+  // The old layout: u8 1 + i64 4096 before the seed, u8 0 after verbose.
+  legacy.insert(109, 1, '\0');
+  std::string sinkhorn_fields(9, '\0');
+  sinkhorn_fields[0] = 1;
+  const int64_t min_parallel_elements = 4096;
+  std::memcpy(&sinkhorn_fields[1], &min_parallel_elements, 8);
+  legacy.insert(100, sinkhorn_fields);
+
+  // The old registration record type, and the same payload under today's
+  // type: both must fail the replay with zero streams registered.
+  for (const uint32_t type : {1u, records[0].type}) {
+    const std::string path = ::testing::TempDir() + "/golden_legacy.wal";
+    std::remove(path.c_str());
+    {
+      Result<std::unique_ptr<storage::Wal>> wal = storage::Wal::Open(path, {});
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      ASSERT_TRUE(wal.value()->Append(type, legacy).ok());
+      ASSERT_TRUE(
+          wal.value()->Append(records[1].type, records[1].payload).ok());
+    }
+    stream::StreamEngineOptions options = GoldenEngineOptions();
+    options.wal_path = path;
+    stream::StreamEngine engine(options);
+    Status s = engine.Recover("");
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << type << ": " << s.ToString();
+    EXPECT_EQ(engine.num_streams(), 0) << type;
+    std::remove(path.c_str());
+  }
+}
+
+// Older containers are no longer readable: the CERLENG5 fixture with a
+// legacy magic is a typed IO error and leaves the engine with zero streams.
 TEST(GoldenFormatTest, LegacyEngineMagicsAreIoErrors) {
   Result<std::string> bytes = ReadFileToString(EngineFixture());
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  ASSERT_EQ(bytes.value().substr(0, 8), "CERLENG4");
-  for (const char* magic : {"CERLENG1", "CERLENG2", "CERLENG3"}) {
+  ASSERT_EQ(bytes.value().substr(0, 8), "CERLENG5");
+  for (const char* magic : {"CERLENG1", "CERLENG2", "CERLENG3", "CERLENG4"}) {
     std::string legacy = bytes.value();
     legacy.replace(0, 8, magic);
     const std::string path = ::testing::TempDir() + "/legacy_" + magic;
