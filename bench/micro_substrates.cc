@@ -256,6 +256,31 @@ BENCHMARK_CAPTURE(BM_EwForward, relu, linalg::simd::EwFwd::kRelu);
 BENCHMARK_CAPTURE(BM_EwForward, elu, linalg::simd::EwFwd::kElu);
 BENCHMARK_CAPTURE(BM_EwForward, tanh, linalg::simd::EwFwd::kTanh);
 
+// The ELU backward pass over the same 128 x 32 batch: ga += g * (x > 0 ? 1 :
+// y + 1), a shared plain loop (linalg/simd_plain.inc) that the compiler
+// vectorizes for the AVX2 table. bench-smoke gates it against the
+// hand-written BM_EwForward/elu in the same run, so a compiler or flag
+// change that stops vectorizing the shared loops fails CI.
+void BM_EwBackward(benchmark::State& state, linalg::simd::EwGrad op) {
+  Rng rng(16);
+  linalg::Matrix x = RandomMatrix(&rng, 128, 32);
+  linalg::Matrix g = RandomMatrix(&rng, 128, 32);
+  linalg::Matrix y(128, 32);
+  linalg::Matrix ga(128, 32);
+  const auto& ks = linalg::simd::Kernels();
+  ks.ew_forward(static_cast<int>(linalg::simd::EwFwd::kElu), x.data(),
+                y.data(), x.size());
+  for (auto _ : state) {
+    ks.ew_backward(static_cast<int>(op), g.data(), x.data(), y.data(),
+                   ga.data(), x.size());
+    benchmark::DoNotOptimize(ga.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+  state.SetLabel(ks.name);
+}
+BENCHMARK_CAPTURE(BM_EwBackward, elu, linalg::simd::EwGrad::kElu);
+
 // Cold-start Sinkhorn solves. Arg(1): the workspace solver (arena buffers,
 // SIMD kernels, vectorized exp; warm start disabled so every solve runs
 // the full iteration). Arg(0): the allocate-per-call reference solver.

@@ -1,14 +1,15 @@
 // Scalar kernel table and one-time dispatch resolution. The scalar bodies
 // are the former inline loops of ops.cc / gemm.cc / optim.cc: they define
 // the reference arithmetic (order and operation shape) that the AVX2 table
-// either matches bitwise (vec_exp tail handling, the elementwise kernels)
-// or tracks within documented FMA rounding (row_dot, gemm, adam). This file
-// is built with -ffp-contract=off, so the compiler never contracts a
-// multiply-add: the only fused operations are the explicit std::fma calls.
-// At the SSE2 baseline each std::fma is a call into libm, so every kernel
-// that calls it is also cloned for FMA hardware (CERL_FMA_CLONES), where
-// the same std::fma is one instruction. fma is correctly rounded either
-// way, so both clones give the same bits.
+// either matches bitwise (vec_exp tail handling, the ELU/tanh forwards,
+// mat_tvec_accum) or tracks within documented FMA rounding (row_dot, gemm,
+// adam). The plain elementwise kernels are not here but in simd_plain.inc,
+// which both tables compile. This file is built with -ffp-contract=off, so
+// the compiler never contracts a multiply-add: the only fused operations
+// are the explicit std::fma calls. At the SSE2 baseline each std::fma is a
+// call into libm, so every kernel that calls it is also cloned for FMA
+// hardware (CERL_FMA_CLONES), where the same std::fma is one instruction.
+// fma is correctly rounded either way, so both clones give the same bits.
 #include "linalg/simd.h"
 
 #include <atomic>
@@ -147,114 +148,6 @@ void AdamUpdateScalar(double* value, const double* grad, double* m, double* v,
   }
 }
 
-void VecAccumScalar(const double* x, double* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += x[i];
-}
-
-CERL_FMA_CLONES
-void VecAxpyScalar(double a, const double* x, double* y, int64_t n) {
-  // Fused multiply-add: correctly rounded, so the scalar and AVX2 tables
-  // agree bitwise while the accumulate costs one op instead of two.
-  for (int64_t i = 0; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
-}
-
-CERL_FMA_CLONES
-void VecMulAccumScalar(const double* x1, const double* x2, double* y,
-                       int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = std::fma(x1[i], x2[i], y[i]);
-}
-
-void VecAddScalarScalar(double a, double* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += a;
-}
-
-void EwBackwardScalar(int op, const double* g, const double* x,
-                      const double* y, double* ga, int64_t n) {
-  // One loop per derivative so the formula inlines (a per-element indirect
-  // call costs more than the arithmetic for these cheap expressions). The
-  // formulas are the EwGrad contract in simd.h, verbatim.
-  switch (static_cast<EwGrad>(op)) {
-    case EwGrad::kReciprocal:
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (-y[i] * y[i]);
-      break;
-    case EwGrad::kRelu:
-      for (int64_t i = 0; i < n; ++i) {
-        ga[i] += g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
-      }
-      break;
-    case EwGrad::kElu:
-      for (int64_t i = 0; i < n; ++i) {
-        ga[i] += g[i] * (x[i] > 0.0 ? 1.0 : y[i] + 1.0);
-      }
-      break;
-    case EwGrad::kTanh:
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (1.0 - y[i] * y[i]);
-      break;
-    case EwGrad::kSigmoid:
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (y[i] * (1.0 - y[i]));
-      break;
-    case EwGrad::kExp:
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * y[i];
-      break;
-    case EwGrad::kLog:
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (1.0 / x[i]);
-      break;
-    case EwGrad::kSqrt:
-      for (int64_t i = 0; i < n; ++i) {
-        ga[i] += g[i] * (y[i] > 0.0 ? 0.5 / y[i] : 0.0);
-      }
-      break;
-    case EwGrad::kSquare:
-      for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (2.0 * x[i]);
-      break;
-    case EwGrad::kAbs:
-      for (int64_t i = 0; i < n; ++i) {
-        ga[i] += g[i] * (x[i] > 0.0 ? 1.0 : (x[i] < 0.0 ? -1.0 : 0.0));
-      }
-      break;
-  }
-}
-
-void VecAddScalarKernel(const double* x1, const double* x2, double* out,
-                        int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x1[i] + x2[i];
-}
-
-void VecSubScalar(const double* x1, const double* x2, double* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x1[i] - x2[i];
-}
-
-void VecMulScalar(const double* x1, const double* x2, double* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x1[i] * x2[i];
-}
-
-void VecScaleScalar(double a, const double* x, double* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = a * x[i];
-}
-
-void VecDivScalarScalar(double a, const double* x, double* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = a / x[i];
-}
-
-void AddRowBroadcastScalar(const double* a, const double* b, int rows,
-                           int cols, double* out) {
-  for (int r = 0; r < rows; ++r) {
-    const double* src = a + static_cast<size_t>(r) * cols;
-    double* dst = out + static_cast<size_t>(r) * cols;
-    for (int c = 0; c < cols; ++c) dst[c] = src[c] + b[c];
-  }
-}
-
-void MulColBroadcastScalar(const double* a, const double* s, int rows,
-                           int cols, double* out) {
-  for (int r = 0; r < rows; ++r) {
-    const double k = s[r];
-    const double* src = a + static_cast<size_t>(r) * cols;
-    double* dst = out + static_cast<size_t>(r) * cols;
-    for (int c = 0; c < cols; ++c) dst[c] = src[c] * k;
-  }
-}
-
 void MatVecScalar(const double* mat, int64_t ld, const double* x, int rows,
                   int cols, double* out) {
   for (int r = 0; r < rows; ++r) {
@@ -367,42 +260,28 @@ inline double TanhOne(double x) {
 }
 
 CERL_FMA_CLONES
-void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
-  // The EwFwd formulas from simd.h, verbatim.
-  switch (static_cast<EwFwd>(op)) {
-    case EwFwd::kReciprocal:
-      for (int64_t i = 0; i < n; ++i) out[i] = 1.0 / x[i];
-      break;
-    case EwFwd::kRelu:
-      for (int64_t i = 0; i < n; ++i) out[i] = x[i] > 0.0 ? x[i] : 0.0;
-      break;
-    case EwFwd::kSqrt:
-      for (int64_t i = 0; i < n; ++i) out[i] = std::sqrt(x[i]);
-      break;
-    case EwFwd::kSquare:
-      for (int64_t i = 0; i < n; ++i) out[i] = x[i] * x[i];
-      break;
-    case EwFwd::kAbs:
-      for (int64_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
-      break;
-    case EwFwd::kElu:
-      for (int64_t i = 0; i < n; ++i) out[i] = EluOne(x[i]);
-      break;
-    case EwFwd::kTanh:
-      for (int64_t i = 0; i < n; ++i) out[i] = TanhOne(x[i]);
-      break;
-  }
+void EluForward(const double* x, double* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = EluOne(x[i]);
 }
 
+CERL_FMA_CLONES
+void TanhForward(const double* x, double* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = TanhOne(x[i]);
+}
+
+// vec_accum .. mul_col_broadcast and ew_forward: the same source
+// simd_avx2.cc compiles for the AVX2 table.
+#include "linalg/simd_plain.inc"
+
 constexpr KernelSet kScalarSet = {
-    "scalar",        VecExpScalar,      RowDotScalar,
+    "scalar",        VecExpScalar,     RowDotScalar,
     GemmScalar,      AdamUpdateScalar,
-    VecAccumScalar,  VecAxpyScalar,     VecMulAccumScalar,
-    VecAddScalarScalar, EwBackwardScalar,
-    VecAddScalarKernel, VecSubScalar,   VecMulScalar,
-    VecScaleScalar,  VecDivScalarScalar,
-    AddRowBroadcastScalar, MulColBroadcastScalar,
-    MatVecScalar,    MatTVecAccumScalar, EwForwardScalar,
+    VecAccum,        VecAxpy,          VecMulAccum,
+    VecAddScalar,    EwBackward,
+    VecAdd,          VecSub,           VecMul,
+    VecScale,        VecDivScalar,
+    AddRowBroadcast, MulColBroadcast,
+    MatVecScalar,    MatTVecAccumScalar, EwForward,
 };
 
 bool CpuHasAvx2Fma() {

@@ -13,6 +13,23 @@
 // deterministic across range splits: every kernel reduces in a fixed
 // order).
 //
+// Where each entry's code lives:
+//  - One source, compiled twice: vec_accum, vec_axpy, vec_mul_accum,
+//    vec_add_scalar, ew_backward, vec_add, vec_sub, vec_mul, vec_scale,
+//    vec_div_scalar, add_row_broadcast, mul_col_broadcast and the plain
+//    ew_forward ops (reciprocal, relu, sqrt, square, abs) are plain loops in
+//    simd_plain.inc. simd.cc compiles them into the scalar table and
+//    simd_avx2.cc, with -mavx2 -mfma, into the AVX2 table; both TUs use
+//    -ffp-contract=off. The tables agree bit for bit because they compile
+//    the same expression, not because two copies are kept in step by hand.
+//  - Hand-written AVX2 intrinsics, kept where the AVX2 arithmetic or
+//    algorithm differs from the scalar source: vec_exp, row_dot, mat_vec,
+//    gemm and adam_update fuse multiply-adds that the scalar code rounds
+//    separately; mat_tvec_accum blocks four rows per pass (a plain-C blocked
+//    loop measured 1.0-1.4x slower); and the ELU/tanh expm1 core, which GCC
+//    does vectorize from the scalar twin, measured 1.02-1.34x slower that
+//    way.
+//
 // Numerics contract, kernel by kernel:
 //  - vec_exp is POSITION-UNIFORM: element i's result depends only on in[i],
 //    never on i, n, or alignment (the AVX2 tail is masked full-width
@@ -50,8 +67,9 @@ namespace cerl::linalg::simd {
 
 /// Derivative selector for KernelSet::ew_backward. The formula column (x =
 /// forward input, y = forward output) is the contract: both kernel tables
-/// implement these expressions with plain individually-rounded IEEE ops, and
-/// autodiff/ops.cc's forward definitions must stay consistent with them.
+/// compile these expressions from one source (simd_plain.inc) with plain
+/// individually-rounded IEEE ops, and autodiff/ops.cc's forward definitions
+/// must stay consistent with them.
 enum class EwGrad : int {
   kReciprocal = 0,  ///< -y * y
   kRelu,            ///< x > 0 ? 1 : 0
@@ -122,8 +140,9 @@ struct KernelSet {
   //
   // Each output element is independent and computed either with PLAIN mul /
   // add / div / compare-select (individually rounded IEEE ops) or with a
-  // correctly-rounded std::fma — both choices make results bitwise
-  // identical in BOTH tables and independent of any range split. These carry the training path's elementwise traffic: the
+  // correctly-rounded std::fma, from the one source both tables compile —
+  // so results are bitwise identical in BOTH tables and independent of any
+  // range split. These carry the training path's elementwise traffic: the
   // Sinkhorn K^T u accumulation, gradient accumulation, and the activation
   // backward passes.
 

@@ -13,9 +13,9 @@
 // tests/testdata/ pins it; any other magic is a load error):
 //   magic "CERLENG5",
 //   u32 num_streams, then per stream:
-//     u32 name_len, name bytes,
-//     u32 input_dim,
-//     CerlConfig block (fixed field order, see snapfmt::WriteConfig),
+//     stream header (snapfmt::WriteStreamHeader, shared with the WAL
+//       registration record): u32 name_len, name bytes, u32 input_dim,
+//       CerlConfig block (fixed field order, see WriteConfig),
 //     u32 completed_domains                        (resumes domain indices),
 //     u8 health, u32 consecutive_failures, u32 failed_domains,
 //     3 x { f64 rate_ms_per_unit, i64 count }      (the stream's learned
@@ -67,8 +67,9 @@ constexpr int kSnapshotRetryBackoffMs = 1;
 // Decode-time sanity caps: generous for any real deployment, small enough
 // that a corrupted count fails fast with a descriptive error instead of an
 // attempted allocation (the byte-level guard is BoundedReader::Require).
-// The stream and name caps live in snapfmt (stream_internal.h) because the
-// WAL replay path shares them.
+constexpr uint32_t kMaxStreams = 1u << 16;
+constexpr uint32_t kMaxNameLen = 1u << 12;
+constexpr uint32_t kMaxInputDim = 1u << 24;
 constexpr uint32_t kMaxHiddenLayers = 1u << 10;
 constexpr uint32_t kMaxLayerWidth = 1u << 20;
 
@@ -111,12 +112,6 @@ Status ReadBool(BoundedReader* r, bool* v, const char* what) {
   *v = b != 0;
   return Status::Ok();
 }
-
-}  // namespace
-
-// CerlConfig wire codec (declared in stream_internal.h), shared by the
-// snapshot and the WAL registration record.
-namespace snapfmt {
 
 // --- CerlConfig codec (fixed field order; the container magic versions it) -
 
@@ -214,6 +209,43 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   return Status::Ok();
 }
 
+}  // namespace
+
+// The stream-header codec (declared in stream_internal.h), shared by the
+// snapshot and the WAL registration record.
+namespace snapfmt {
+
+// --- stream header: u32 name_len, name bytes, u32 input_dim, CerlConfig ----
+
+void WriteStreamHeader(std::string* out, const std::string& name,
+                       uint32_t input_dim, const core::CerlConfig& config) {
+  WritePod(out, static_cast<uint32_t>(name.size()));
+  out->append(name);
+  WritePod(out, input_dim);
+  WriteConfig(out, config);
+}
+
+Status ReadStreamHeader(BoundedReader* r, std::string* name,
+                        uint32_t* input_dim, core::CerlConfig* config) {
+  uint32_t name_len = 0;
+  CERL_RETURN_IF_ERROR(r->ReadPod(&name_len, "stream name length"));
+  if (name_len > kMaxNameLen) {
+    return Status::IoError("implausible stream name length " +
+                           std::to_string(name_len));
+  }
+  CERL_RETURN_IF_ERROR(r->Require(name_len, "stream name"));
+  name->assign(name_len, '\0');
+  if (name_len > 0) {
+    CERL_RETURN_IF_ERROR(r->ReadRaw(name->data(), name_len, "stream name"));
+  }
+  CERL_RETURN_IF_ERROR(r->ReadPod(input_dim, "stream input dim"));
+  if (*input_dim == 0 || *input_dim > kMaxInputDim) {
+    return Status::IoError("implausible stream input dim " +
+                           std::to_string(*input_dim));
+  }
+  return ReadConfig(r, config);
+}
+
 }  // namespace snapfmt
 
 Status StreamEngine::SerializeSnapshotLocked(std::string* out,
@@ -235,10 +267,9 @@ Status StreamEngine::SerializeSnapshotLocked(std::string* out,
   std::vector<std::pair<size_t, size_t>> blob_spans;
   blob_spans.reserve(streams_.size());
   for (const auto& s : streams_) {
-    WritePod(out, static_cast<uint32_t>(s->name.size()));
-    out->append(s->name);
-    WritePod(out, static_cast<uint32_t>(s->input_dim));
-    snapfmt::WriteConfig(out, s->trainer.config());
+    snapfmt::WriteStreamHeader(out, s->name,
+                               static_cast<uint32_t>(s->input_dim),
+                               s->trainer.config());
     // At the snapshot fence nothing is in flight, so pushed minus queued is
     // the completed-domain count; restoring it keeps domain indices
     // continuous across the restart.
@@ -427,7 +458,7 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   }
   uint32_t num_streams = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&num_streams, "stream count"));
-  if (num_streams > snapfmt::kMaxStreams) {
+  if (num_streams > kMaxStreams) {
     return Status::IoError("implausible stream count " +
                            std::to_string(num_streams));
   }
@@ -439,24 +470,11 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   std::vector<std::pair<size_t, size_t>> blob_spans;
   staged.reserve(num_streams);
   for (uint32_t i = 0; i < num_streams; ++i) {
-    uint32_t name_len = 0;
-    CERL_RETURN_IF_ERROR(r.ReadPod(&name_len, "stream name length"));
-    if (name_len > snapfmt::kMaxNameLen) {
-      return Status::IoError("implausible stream name length " +
-                             std::to_string(name_len));
-    }
-    CERL_RETURN_IF_ERROR(r.Require(name_len, "stream name"));
-    std::string stream_name(name_len, '\0');
-    CERL_RETURN_IF_ERROR(r.ReadRaw(stream_name.data(), name_len,
-                                   "stream name"));
+    std::string stream_name;
     uint32_t input_dim = 0;
-    CERL_RETURN_IF_ERROR(r.ReadPod(&input_dim, "stream input dim"));
-    if (input_dim == 0 || input_dim > (1u << 24)) {
-      return Status::IoError("implausible stream input dim " +
-                             std::to_string(input_dim));
-    }
     core::CerlConfig config;
-    CERL_RETURN_IF_ERROR(snapfmt::ReadConfig(&r, &config));
+    CERL_RETURN_IF_ERROR(
+        snapfmt::ReadStreamHeader(&r, &stream_name, &input_dim, &config));
     uint32_t completed = 0;
     CERL_RETURN_IF_ERROR(r.ReadPod(&completed, "completed domains"));
     // Lands in StreamState::pushed (an int): cap so a corrupt counter cannot

@@ -130,17 +130,14 @@ Status ReadSplit(BoundedReader* r, data::DataSplit* split) {
   return Status::Ok();
 }
 
-// kWalAddStream payload: u32 stream_id, u32 name_len, name bytes,
-// u32 input_dim, CerlConfig block.
+// kWalAddStream payload: u32 stream_id, then the stream header
+// (snapfmt::WriteStreamHeader, the snapshot's per-stream header).
 std::string EncodeAddStreamPayload(uint32_t id, const std::string& name,
                                    uint32_t input_dim,
                                    const core::CerlConfig& config) {
   std::string p;
   WritePod(&p, id);
-  WritePod(&p, static_cast<uint32_t>(name.size()));
-  p.append(name);
-  WritePod(&p, input_dim);
-  snapfmt::WriteConfig(&p, config);
+  snapfmt::WriteStreamHeader(&p, name, input_dim, config);
   return p;
 }
 
@@ -151,24 +148,7 @@ Status DecodeAddStreamPayload(std::string_view payload, uint32_t* id,
   std::istream in(&buf);
   BoundedReader r(&in, payload.size());
   CERL_RETURN_IF_ERROR(r.ReadPod(id, "WAL stream id"));
-  uint32_t name_len = 0;
-  CERL_RETURN_IF_ERROR(r.ReadPod(&name_len, "WAL stream name length"));
-  if (name_len > snapfmt::kMaxNameLen) {
-    return Status::IoError("WAL record: implausible stream name length " +
-                           std::to_string(name_len));
-  }
-  CERL_RETURN_IF_ERROR(r.Require(name_len, "WAL stream name"));
-  name->assign(name_len, '\0');
-  if (name_len > 0) {
-    CERL_RETURN_IF_ERROR(r.ReadRaw(name->data(), name_len,
-                                   "WAL stream name"));
-  }
-  CERL_RETURN_IF_ERROR(r.ReadPod(input_dim, "WAL stream input dim"));
-  if (*input_dim == 0 || *input_dim > (1u << 24)) {
-    return Status::IoError("WAL record: implausible input dim " +
-                           std::to_string(*input_dim));
-  }
-  CERL_RETURN_IF_ERROR(snapfmt::ReadConfig(&r, config));
+  CERL_RETURN_IF_ERROR(snapfmt::ReadStreamHeader(&r, name, input_dim, config));
   if (r.remaining() != 0) {
     return Status::IoError("WAL registration record has trailing bytes");
   }

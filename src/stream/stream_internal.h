@@ -137,16 +137,18 @@ struct StreamEngine::StreamState {
 };
 
 // Wire format shared by engine_checkpoint.cc (the CERLENG5 snapshot) and
-// engine_storage.cc (WAL records): the CerlConfig codec, defined in
+// engine_storage.cc (WAL records): the stream header, defined in
 // engine_checkpoint.cc, is embedded verbatim in both.
 namespace snapfmt {
 
-// Decode-time sanity caps (see engine_checkpoint.cc for the rationale).
-inline constexpr uint32_t kMaxStreams = 1u << 16;
-inline constexpr uint32_t kMaxNameLen = 1u << 12;
-
-void WriteConfig(std::string* out, const core::CerlConfig& c);
-Status ReadConfig(BoundedReader* r, core::CerlConfig* c);
+/// u32 name_len, name bytes, u32 input_dim, CerlConfig block (fixed field
+/// order; the snapshot magic and the WAL record type version it).
+void WriteStreamHeader(std::string* out, const std::string& name,
+                       uint32_t input_dim, const core::CerlConfig& config);
+/// Reads a stream header, rejecting (kIoError) an implausible name length
+/// or an input_dim outside (0, 2^24], before any allocation.
+Status ReadStreamHeader(BoundedReader* r, std::string* name,
+                        uint32_t* input_dim, core::CerlConfig* config);
 
 // WAL record types (storage::Wal is payload-agnostic; these tag the
 // engine's records). Type 1 was the registration record of the CERLENG4

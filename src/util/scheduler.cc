@@ -168,7 +168,12 @@ void WorkStealingPool::EnqueueReadyLocked(Item item) {
       }
     }
   }
-  if (wake >= 0) workers_[wake]->cv.notify_one();
+  if (wake >= 0) {
+    // Cleared here, not when the worker re-takes the lock, so an enqueue in
+    // between wakes another idle worker instead of this one again.
+    workers_[wake]->idle = false;
+    workers_[wake]->cv.notify_one();
+  }
 }
 
 void WorkStealingPool::PromoteTimersLocked(

@@ -9,11 +9,11 @@
 // Regenerating (only when the format is INTENTIONALLY revised):
 //   CERL_REGEN_GOLDEN=1 ./build/tests/golden_format_test
 // rewrites the fixtures in the source tree; commit them with the change.
-// The committed trainer blobs (golden_trainer.ckpt and the two inside
-// golden_engine.snap) were trained before the ELU/tanh forwards moved to
-// the kernel layer's expm1 core, and golden_expected.txt pins them under
-// today's kernels. A regeneration retrains them, so it also rewrites
-// golden_trainer.ckpt and every hexfloat in golden_expected.txt.
+// Regeneration is reproducible: the fixtures are trained under the scalar
+// kernel table and the snapshot's wall-clock cost-model rates are pinned
+// (PinCostModelRates), so rerunning it on the committed tree leaves every
+// file byte-identical. A diff after a regeneration therefore means the
+// format or the scalar arithmetic changed.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -193,6 +193,43 @@ void ContinueEngineFixture(stream::StreamEngine* engine) {
   engine->Drain();
 }
 
+// The snapshot's per-stream cost-model block holds wall-clock stage rates,
+// the one part of the fixture a rerun cannot reproduce. The regen path pins
+// every rate to kPinnedRateMsPerUnit (observation counts kept) and re-seals
+// the metadata checksum, so a second regeneration writes the same bytes.
+// The rates only order scheduling; no result depends on them.
+constexpr double kPinnedRateMsPerUnit = 0.01;
+
+void PinCostModelRates(const std::string& path) {
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string snap = bytes.value();
+  snap.resize(snap.size() - sizeof(uint64_t));  // the old checksum
+  uint32_t num_streams = 0;
+  std::memcpy(&num_streams, snap.data() + 8, sizeof(num_streams));
+  // Each stream's record ends {3 x (f64 rate, i64 count), u8 has_trainer,
+  // u64 blob_len, CERLCKP1 blob}; the blob is excluded from the checksum.
+  Fnv1a64Stream hasher;
+  size_t pos = 0;
+  for (uint32_t i = 0; i < num_streams; ++i) {
+    const size_t blob = snap.find("CERLCKP1", pos + 12);
+    ASSERT_NE(blob, std::string::npos) << "stream " << i << " has no blob";
+    const size_t rates = blob - sizeof(uint64_t) - 1 - 3 * 16;
+    for (int stage = 0; stage < 3; ++stage) {
+      std::memcpy(snap.data() + rates + 16 * stage, &kPinnedRateMsPerUnit,
+                  sizeof(double));
+    }
+    uint64_t blob_len = 0;
+    std::memcpy(&blob_len, snap.data() + blob - sizeof(uint64_t),
+                sizeof(blob_len));
+    hasher.Update(std::string_view(snap).substr(pos, blob - pos));
+    pos = blob + blob_len;
+  }
+  hasher.Update(std::string_view(snap).substr(pos));
+  WritePod(&snap, hasher.digest());
+  ASSERT_TRUE(WriteFileAtomic(path, snap).ok());
+}
+
 // Builds the golden engine state: 2 streams, each drained after domain 0,
 // then snapshotted. Drained first, so the fixture does not depend on where
 // the snapshot fence lands.
@@ -206,6 +243,7 @@ void RegenerateEngineFixture(Vector* expected_a, Vector* expected_b) {
   ASSERT_TRUE(engine.PushDomain(b, GoldenEngineData(1)[0]).ok());
   engine.Drain();
   ASSERT_TRUE(engine.SaveSnapshot(EngineFixture()).ok());
+  PinCostModelRates(EngineFixture());
 
   // Expected values come from REPLAYING the fixture, so verification does
   // not depend on this process's engine continuing.

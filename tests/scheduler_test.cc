@@ -175,6 +175,47 @@ TEST(WorkStealingPoolTest, IdleWorkerStealsHomedTasks) {
   EXPECT_EQ(pool.steal_count(), off_home.load());
 }
 
+// A wakeup must reach a second idle worker. With both workers parked, A and
+// B are submitted back to back, both homed to worker 0; A then blocks until
+// B starts. Submitting A wakes worker 0; submitting B must wake worker 1,
+// even though worker 0 has not yet re-taken the pool lock to clear its
+// idle flag. If B's wakeup goes to worker 0 again, worker 1 sleeps, B waits
+// for A to finish and A times out. The bound is 2 s per round; a round that
+// works takes microseconds.
+TEST(WorkStealingPoolTest, BackToBackSubmitsWakeBothIdleWorkers) {
+  WorkStealingPoolOptions options;
+  options.num_threads = 2;
+  options.cost_aware = true;
+  WorkStealingPool pool(options);
+  ExecOptions home0;
+  home0.home = 0;
+  for (int round = 0; round < 100; ++round) {
+    // Let both workers finish the previous round and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool b_started = false;
+    bool a_saw_b = false;
+    pool.Execute(
+        [&] {
+          std::unique_lock<std::mutex> lock(mutex);
+          a_saw_b = cv.wait_for(lock, std::chrono::seconds(2),
+                                [&] { return b_started; });
+        },
+        home0);
+    pool.Execute(
+        [&] {
+          std::lock_guard<std::mutex> lock(mutex);
+          b_started = true;
+          cv.notify_all();
+        },
+        home0);
+    pool.Wait();
+    ASSERT_TRUE(a_saw_b) << "round " << round
+                         << ": B did not start while A was running";
+  }
+}
+
 TEST(WorkStealingPoolTest, CurrentWorkerIsMinusOneOffPool) {
   WorkStealingPoolOptions options;
   options.num_threads = 2;

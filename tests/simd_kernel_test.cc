@@ -2,8 +2,9 @@
 // (linalg/simd.h): scalar-vs-AVX2 agreement with a documented ULP
 // tolerance across sizes including every n % 4 remainder, the
 // position-uniformity / split-invariance guarantees that batched callers
-// and Adam depend on, VecExp's in == out alias contract, and same-build
-// run-to-run determinism.
+// and Adam depend on, VecExp's in == out alias contract, bitwise parity of
+// the shared plain loops at IEEE edge values, short lengths, misaligned
+// offsets and in-place aliasing, and same-build run-to-run determinism.
 //
 // ULP tolerance rationale: the AVX2 kernels keep the scalar expression
 // shape but fuse each multiply-add (FMA), so every fused op can differ from
@@ -17,6 +18,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "linalg/ops.h"
@@ -417,6 +420,261 @@ TEST(BroadcastKernelTest, CrossTableBitwiseIdentical) {
       ac.mul_col_broadcast(a.data(), scale.data(), rows, cols, v.data());
       for (int i = 0; i < rows * cols; ++i) {
         EXPECT_EQ(s[i], v[i]) << "mul_col_broadcast " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
+// --- the shared loops at the edges --------------------------------------
+//
+// The plain kernels are one source compiled into both tables
+// (simd_plain.inc), so these cases push them where a vectorized loop and
+// its scalar epilogue part ways: every length 0..9 at four pointer offsets
+// from a 32-byte boundary (each body/epilogue split and misalignment), full
+// in-place aliasing, and the IEEE corner values — signed zeros, infinities,
+// NaN, subnormals and inputs either side of 0 for the compare-selects.
+
+// Bitwise equality, except that any two NaNs match: when NaN operands meet,
+// which payload the result carries is up to the hardware, not IEEE.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+const double kEdgePool[] = {
+    0.0, -0.0, std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::denorm_min(),
+    -std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::min() / 3.0,   // subnormal
+    -std::numeric_limits<double>::min() / 3.0,
+    std::numeric_limits<double>::min(), 1e-300, -1e-300, 1.0, -1.0, 0.5,
+    -2.5, 3.0, 1e300, -1e300};
+
+constexpr int kEdgeLen = 16;  // >= 3 (offset) + 9 (n) + guard elements
+
+// Three arrays on 32-byte boundaries; a kernel call reads/writes elements
+// [offset, offset + n) of them and must leave the rest as it found them.
+struct EdgeBufs {
+  alignas(32) double v[3][kEdgeLen];
+};
+
+// Every element drawn from kEdgePool, or (one time in four) uniform on
+// [-4, 4], so neighbouring lanes see different corner values.
+EdgeBufs RandomEdgeBufs(Rng* rng) {
+  EdgeBufs b;
+  const int pool = static_cast<int>(sizeof(kEdgePool) / sizeof(kEdgePool[0]));
+  for (auto& row : b.v) {
+    for (double& x : row) {
+      const int pick = static_cast<int>(rng->Uniform(0.0, pool * 4.0 / 3.0));
+      x = pick < pool ? kEdgePool[pick] : rng->Uniform(-4.0, 4.0);
+    }
+  }
+  return b;
+}
+
+// Runs call(table, p0, p1, p2) with p_k = buffer k + offset on the scalar
+// table and on the active one, each over its own copy of `init`, and
+// expects the two results bitwise equal everywhere and the elements outside
+// [offset, offset + n) untouched.
+template <typename Call>
+void ExpectTablesAgree(const EdgeBufs& init, int offset, int n,
+                       const std::string& what, Call call) {
+  EdgeBufs s = init, v = init;
+  call(ScalarKernels(), s.v[0] + offset, s.v[1] + offset, s.v[2] + offset);
+  call(Kernels(), v.v[0] + offset, v.v[1] + offset, v.v[2] + offset);
+  for (int b = 0; b < 3; ++b) {
+    for (int i = 0; i < kEdgeLen; ++i) {
+      EXPECT_TRUE(SameBits(s.v[b][i], v.v[b][i]))
+          << what << " n=" << n << " offset=" << offset << " buf=" << b
+          << " i=" << i << ": scalar " << s.v[b][i] << " vs " << Kernels().name
+          << " " << v.v[b][i];
+      if (i < offset || i >= offset + n) {
+        EXPECT_TRUE(SameBits(init.v[b][i], v.v[b][i]))
+            << what << " wrote outside its range: n=" << n
+            << " offset=" << offset << " buf=" << b << " i=" << i;
+      }
+    }
+  }
+}
+
+// Each (length, offset) pair runs kEdgeTrials random edge-value fillings.
+constexpr int kEdgeTrials = 12;
+
+template <typename Body>
+void ForEachEdgeCase(uint64_t seed, Body body) {
+  Rng rng(seed);
+  for (int n = 0; n <= 9; ++n) {
+    for (int offset = 0; offset < 4; ++offset) {
+      for (int t = 0; t < kEdgeTrials; ++t) {
+        const EdgeBufs init = RandomEdgeBufs(&rng);
+        const double a = init.v[2][kEdgeLen - 1];  // an edge-valued scalar
+        body(init, offset, n, a);
+      }
+    }
+  }
+}
+
+TEST(ElementwiseKernelTest, EdgeValuesEveryLengthOffsetAndInPlace) {
+  using KS = KernelSet;
+  ForEachEdgeCase(71, [](const EdgeBufs& init, int off, int n, double a) {
+    auto agree = [&](const char* what, auto call) {
+      ExpectTablesAgree(init, off, n, what, call);
+    };
+    agree("vec_accum", [&](const KS& k, double* x, double* y, double*) {
+      k.vec_accum(x, y, n);
+    });
+    agree("vec_accum y+=y", [&](const KS& k, double* y, double*, double*) {
+      k.vec_accum(y, y, n);
+    });
+    agree("vec_axpy", [&](const KS& k, double* x, double* y, double*) {
+      k.vec_axpy(a, x, y, n);
+    });
+    agree("vec_axpy in place", [&](const KS& k, double* y, double*, double*) {
+      k.vec_axpy(a, y, y, n);
+    });
+    agree("vec_mul_accum", [&](const KS& k, double* x1, double* x2,
+                               double* y) { k.vec_mul_accum(x1, x2, y, n); });
+    agree("vec_mul_accum in place",
+          [&](const KS& k, double* y, double*, double*) {
+            k.vec_mul_accum(y, y, y, n);
+          });
+    agree("vec_add_scalar", [&](const KS& k, double* y, double*, double*) {
+      k.vec_add_scalar(a, y, n);
+    });
+    using Binary = void (*)(const double*, const double*, double*, int64_t);
+    const std::pair<const char*, Binary KS::*> binaries[] = {
+        {"vec_add", &KS::vec_add},
+        {"vec_sub", &KS::vec_sub},
+        {"vec_mul", &KS::vec_mul}};
+    for (const auto& [name, fn] : binaries) {
+      agree(name, [&, fn = fn](const KS& k, double* x1, double* x2,
+                               double* out) { (k.*fn)(x1, x2, out, n); });
+      agree(name, [&, fn = fn](const KS& k, double* x1, double* x2, double*) {
+        (k.*fn)(x1, x2, x1, n);  // out == x1
+      });
+      agree(name, [&, fn = fn](const KS& k, double* x1, double* x2, double*) {
+        (k.*fn)(x1, x2, x2, n);  // out == x2
+      });
+      agree(name, [&, fn = fn](const KS& k, double* x, double*, double*) {
+        (k.*fn)(x, x, x, n);  // all three the same array
+      });
+    }
+    agree("vec_scale", [&](const KS& k, double* x, double* out, double*) {
+      k.vec_scale(a, x, out, n);
+    });
+    agree("vec_scale in place", [&](const KS& k, double* x, double*,
+                                    double*) { k.vec_scale(a, x, x, n); });
+    agree("vec_div_scalar", [&](const KS& k, double* x, double* out,
+                                double*) { k.vec_div_scalar(a, x, out, n); });
+    agree("vec_div_scalar in place",
+          [&](const KS& k, double* x, double*, double*) {
+            k.vec_div_scalar(a, x, x, n);
+          });
+  });
+}
+
+// Every EwFwd op, the ELU/tanh approximations included (their contract is
+// the same bits in both tables), out of place and with out == x.
+TEST(EwForwardKernelTest, EdgeValuesEveryLengthOffsetAndInPlace) {
+  ForEachEdgeCase(73, [](const EdgeBufs& init, int off, int n, double) {
+    for (int op = static_cast<int>(EwFwd::kReciprocal);
+         op <= static_cast<int>(EwFwd::kTanh); ++op) {
+      const std::string what = "ew_forward op=" + std::to_string(op);
+      ExpectTablesAgree(init, off, n, what,
+                        [&](const KernelSet& k, double* x, double* out,
+                            double*) { k.ew_forward(op, x, out, n); });
+      ExpectTablesAgree(init, off, n, what + " in place",
+                        [&](const KernelSet& k, double* x, double*, double*) {
+                          k.ew_forward(op, x, x, n);
+                        });
+    }
+  });
+}
+
+// Every EwGrad op with g, x, y and ga all drawn from the edge pool (y is not
+// forward(x) here: the formulas are total functions of (x, y), and the
+// compare-selects must agree on whatever they are given), plus ga == g and
+// x == y aliasing.
+TEST(EwBackwardKernelTest, EdgeValuesEveryLengthOffsetAndInPlace) {
+  ForEachEdgeCase(79, [](const EdgeBufs& init, int off, int n, double) {
+    for (int op = static_cast<int>(EwGrad::kReciprocal);
+         op <= static_cast<int>(EwGrad::kAbs); ++op) {
+      const std::string what = "ew_backward op=" + std::to_string(op);
+      // g and x share buffer 0 (g = x), y is buffer 1, ga buffer 2.
+      ExpectTablesAgree(init, off, n, what,
+                        [&](const KernelSet& k, double* gx, double* y,
+                            double* ga) { k.ew_backward(op, gx, gx, y, ga, n); });
+      ExpectTablesAgree(init, off, n, what + " x == y",
+                        [&](const KernelSet& k, double* g, double* xy,
+                            double* ga) { k.ew_backward(op, g, xy, xy, ga, n); });
+      ExpectTablesAgree(init, off, n, what + " ga == g",
+                        [&](const KernelSet& k, double* g, double* x,
+                            double* y) { k.ew_backward(op, g, x, y, g, n); });
+    }
+  });
+}
+
+// Broadcasts over rows x cols with cols 0..9: the row length is the vector
+// loop's trip count, so each row hits the same body/epilogue split. Every
+// array starts `offset` elements past a 32-byte boundary; out == a in place
+// as well.
+TEST(BroadcastKernelTest, EdgeValuesEveryWidthOffsetAndInPlace) {
+  constexpr int kMaxRows = 3;
+  constexpr int kLen = 3 + kMaxRows * 9 + 2;  // offset + block + guard
+  struct Block {
+    alignas(32) double a[kLen];
+    alignas(32) double out[kLen];
+    alignas(32) double vec[kLen];
+  };
+  const int pool = static_cast<int>(sizeof(kEdgePool) / sizeof(kEdgePool[0]));
+  Rng rng(83);
+  for (int rows = 1; rows <= kMaxRows; ++rows) {
+    for (int cols = 0; cols <= 9; ++cols) {
+      for (int offset = 0; offset < 4; ++offset) {
+        for (int t = 0; t < kEdgeTrials; ++t) {
+          Block init;
+          for (double* arr : {init.a, init.out, init.vec}) {
+            for (int i = 0; i < kLen; ++i) {
+              const int pick =
+                  static_cast<int>(rng.Uniform(0.0, pool * 4.0 / 3.0));
+              arr[i] = pick < pool ? kEdgePool[pick] : rng.Uniform(-4.0, 4.0);
+            }
+          }
+          auto check = [&](const char* what, auto call) {
+            Block s = init, v = init;
+            call(ScalarKernels(), &s);
+            call(Kernels(), &v);
+            for (int i = 0; i < kLen; ++i) {
+              EXPECT_TRUE(SameBits(s.out[i], v.out[i]) &&
+                          SameBits(s.a[i], v.a[i]))
+                  << what << " " << rows << "x" << cols
+                  << " offset=" << offset << " i=" << i;
+              if (i < offset || i >= offset + rows * cols) {
+                EXPECT_TRUE(SameBits(init.out[i], v.out[i]) &&
+                            SameBits(init.a[i], v.a[i]))
+                    << what << " wrote outside its block: " << rows << "x"
+                    << cols << " offset=" << offset << " i=" << i;
+              }
+            }
+          };
+          const int o = offset;
+          check("add_row_broadcast", [&](const KernelSet& k, Block* m) {
+            k.add_row_broadcast(m->a + o, m->vec + o, rows, cols, m->out + o);
+          });
+          check("add_row_broadcast in place", [&](const KernelSet& k,
+                                                  Block* m) {
+            k.add_row_broadcast(m->a + o, m->vec + o, rows, cols, m->a + o);
+          });
+          check("mul_col_broadcast", [&](const KernelSet& k, Block* m) {
+            k.mul_col_broadcast(m->a + o, m->vec + o, rows, cols, m->out + o);
+          });
+          check("mul_col_broadcast in place", [&](const KernelSet& k,
+                                                  Block* m) {
+            k.mul_col_broadcast(m->a + o, m->vec + o, rows, cols, m->a + o);
+          });
+        }
       }
     }
   }
