@@ -281,6 +281,40 @@ void BM_EwBackward(benchmark::State& state, linalg::simd::EwGrad op) {
 }
 BENCHMARK_CAPTURE(BM_EwBackward, elu, linalg::simd::EwGrad::kElu);
 
+// Forward plus backward of one dense 128 x 32 ELU layer on a tape, the
+// shape of a CERL hidden layer: `chain` records MatMul -> AddRowBroadcast
+// -> Elu (three nodes, each with its own value and gradient buffer),
+// `fused` records the one LinearAct node whose forward is a single Gemm
+// with the bias/ELU epilogue. Both give the same bits; bench-smoke gates
+// fused against chain in the same run.
+void BM_DenseLayerStep(benchmark::State& state, bool fused) {
+  Rng rng(17);
+  autodiff::Parameter x(RandomMatrix(&rng, 128, 32));
+  autodiff::Parameter w(RandomMatrix(&rng, 32, 32));
+  autodiff::Parameter b(RandomMatrix(&rng, 1, 32));
+  autodiff::Tape tape;
+  for (auto _ : state) {
+    tape.Reset();
+    x.ZeroGrad();
+    w.ZeroGrad();
+    b.ZeroGrad();
+    autodiff::Var xv = tape.Param(&x);
+    autodiff::Var wv = tape.Param(&w);
+    autodiff::Var bv = tape.Param(&b);
+    autodiff::Var y =
+        fused ? autodiff::LinearAct(xv, wv, bv, linalg::simd::EwFwd::kElu)
+              : autodiff::Elu(
+                    autodiff::AddRowBroadcast(autodiff::MatMul(xv, wv), bv));
+    tape.Backward(autodiff::Sum(y));
+    benchmark::DoNotOptimize(w.grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 128);
+  state.SetLabel(linalg::simd::Kernels().name);
+}
+BENCHMARK_CAPTURE(BM_DenseLayerStep, chain, false);
+BENCHMARK_CAPTURE(BM_DenseLayerStep, fused, true);
+
 // Cold-start Sinkhorn solves. Arg(1): the workspace solver (arena buffers,
 // SIMD kernels, vectorized exp; warm start disabled so every solve runs
 // the full iteration). Arg(0): the allocate-per-call reference solver.

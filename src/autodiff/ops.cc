@@ -51,6 +51,50 @@ void MatMulBtBackward(Tape* t, int self, const Ctx& ctx) {
   }
 }
 
+// The chain this node replaces zero-fills the pre-activation gradient and
+// accumulates g * act'(y) into it, then adds that into the zero-filled
+// product gradient: gz = +0.0 + g * act'(y) both times (adding +0.0 again
+// changes no bit). gz is formed once, in a per-thread scratch, and feeds
+// the bias column sum and both GEMMs in the chain's order. act' reads only
+// y: tanh' is 1 - y*y, and ELU's x > 0 test equals y > 0 bit for bit
+// (ELU(x) is x for x >= 0 and negative or NaN below), so EwGrad::kElu is
+// evaluated with y in place of x.
+void LinearActBackward(Tape* t, int self, const Ctx& ctx) {
+  const Matrix& g = t->GradRef(self);
+  const Matrix& y = t->ValueOf(self);
+  static thread_local Matrix gz;
+  gz.Resize(g.rows(), g.cols());
+  gz.Fill(0.0);
+  const auto& ks = linalg::simd::Kernels();
+  switch (static_cast<linalg::simd::EwFwd>(ctx.aux)) {
+    case linalg::simd::EwFwd::kElu:
+      ks.ew_backward(static_cast<int>(linalg::simd::EwGrad::kElu), g.data(),
+                     y.data(), y.data(), gz.data(), g.size());
+      break;
+    case linalg::simd::EwFwd::kTanh:
+      ks.ew_backward(static_cast<int>(linalg::simd::EwGrad::kTanh), g.data(),
+                     y.data(), y.data(), gz.data(), g.size());
+      break;
+    default:  // kNone
+      ks.vec_accum(g.data(), gz.data(), g.size());
+      break;
+  }
+  if (t->RequiresGrad(ctx.c)) {
+    Matrix& gb = t->GradRef(ctx.c);
+    for (int r = 0; r < gz.rows(); ++r) {
+      ks.vec_accum(gz.row(r), gb.row(0), gz.cols());
+    }
+  }
+  if (t->RequiresGrad(ctx.a)) {
+    Gemm(Trans::kNo, Trans::kYes, 1.0, gz, t->ValueOf(ctx.b), 1.0,
+         &t->GradRef(ctx.a));
+  }
+  if (t->RequiresGrad(ctx.b)) {
+    Gemm(Trans::kYes, Trans::kNo, 1.0, t->ValueOf(ctx.a), gz, 1.0,
+         &t->GradRef(ctx.b));
+  }
+}
+
 void AddBackward(Tape* t, int self, const Ctx& ctx) {
   const Matrix& g = t->GradRef(self);
   if (t->RequiresGrad(ctx.a)) t->GradRef(ctx.a).Add(g);
@@ -241,6 +285,25 @@ Var MatMul(Var a, Var b) {
   Var v = tape->NewNode(a.rows(), b.cols(), &MatMulBackward, ctx, &out);
   Gemm(Trans::kNo, Trans::kNo, 1.0, tape->ValueOf(ctx.a),
        tape->ValueOf(ctx.b), 0.0, out);
+  return v;
+}
+
+Var LinearAct(Var x, Var w, Var b, linalg::simd::EwFwd act) {
+  Tape* tape = SameTape(x, w);
+  CERL_CHECK(SameTape(x, b) == tape);
+  CERL_CHECK_EQ(x.cols(), w.rows());
+  CERL_CHECK_EQ(b.rows(), 1);
+  CERL_CHECK_EQ(b.cols(), w.cols());
+  Ctx ctx;
+  ctx.a = x.id();
+  ctx.b = w.id();
+  ctx.c = b.id();
+  ctx.aux = static_cast<int>(act);
+  Matrix* out = nullptr;
+  Var v = tape->NewNode(x.rows(), w.cols(), &LinearActBackward, ctx, &out);
+  Gemm(Trans::kNo, Trans::kNo, 1.0, tape->ValueOf(ctx.a),
+       tape->ValueOf(ctx.b), 0.0, out,
+       {tape->ValueOf(ctx.c).data(), act});
   return v;
 }
 

@@ -6,11 +6,18 @@
 #include <vector>
 
 #include "autodiff/tape.h"
+#include "linalg/simd.h"
 
 namespace cerl::autodiff {
 
 /// C = A * B.
 Var MatMul(Var a, Var b);
+
+/// y = act(x * w + b), the dense layer as one node: b is 1 x cols broadcast
+/// over rows, act is EwFwd::kNone, kElu or kTanh. y and the gradients of
+/// x, w and b are bitwise those of MatMul -> AddRowBroadcast -> Elu/Tanh;
+/// the node keeps only y (the forward is one Gemm with its epilogue).
+Var LinearAct(Var x, Var w, Var b, linalg::simd::EwFwd act);
 
 /// C = A * B^T.
 Var MatMulBt(Var a, Var b);

@@ -122,11 +122,12 @@ Var Tape::Param(Parameter* p) {
 
 Var Tape::NewNode(int rows, int cols, BackwardKernel kernel,
                   const BackwardCtx& ctx, Matrix** out) {
-  CERL_DCHECK(ctx.a < size_ && ctx.b < size_);
+  CERL_DCHECK(ctx.a < size_ && ctx.b < size_ && ctx.c < size_);
   Node& node = ClaimSlot();
   node.ctx = ctx;
   node.requires_grad = (ctx.a >= 0 && nodes_[ctx.a].requires_grad) ||
-                       (ctx.b >= 0 && nodes_[ctx.b].requires_grad);
+                       (ctx.b >= 0 && nodes_[ctx.b].requires_grad) ||
+                       (ctx.c >= 0 && nodes_[ctx.c].requires_grad);
   if (node.requires_grad) node.kernel = kernel;
   if (node.value.rows() != rows || node.value.cols() != cols) {
     // In place and without zero-fill: the op overwrites the whole buffer.

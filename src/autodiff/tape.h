@@ -150,7 +150,8 @@ class Tape {
   struct BackwardCtx {
     int a = -1;      ///< first dependency id (-1: none)
     int b = -1;      ///< second dependency id (-1: none)
-    int aux = 0;     ///< op-specific (row split, index-pool offset)
+    int c = -1;      ///< third dependency id (-1: none)
+    int aux = 0;     ///< op-specific (row split, index-pool offset, op)
     int aux2 = 0;    ///< op-specific (index-pool length)
     double k = 0.0;  ///< op-specific scalar
   };
@@ -162,7 +163,7 @@ class Tape {
   /// Returns the node handle and sets `*out` to the node's value buffer,
   /// which the op must FULLY overwrite: it holds stale or uninitialized
   /// values, never zeros.
-  /// requires_grad is inferred from ctx.a / ctx.b.
+  /// requires_grad is inferred from ctx.a / ctx.b / ctx.c.
   Var NewNode(int rows, int cols, BackwardKernel kernel,
               const BackwardCtx& ctx, Matrix** out);
 

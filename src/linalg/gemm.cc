@@ -7,7 +7,8 @@
 namespace cerl::linalg {
 
 void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
-          const Matrix& b, double beta, Matrix* c) {
+          const Matrix& b, double beta, Matrix* c,
+          const GemmEpilogue& epilogue) {
   const int m = trans_a == Trans::kNo ? a.rows() : a.cols();
   int k = trans_a == Trans::kNo ? a.cols() : a.rows();
   const int kb = trans_b == Trans::kNo ? b.rows() : b.cols();
@@ -15,10 +16,16 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   CERL_CHECK_EQ(k, kb);
   CERL_CHECK_EQ(c->rows(), m);
   CERL_CHECK_EQ(c->cols(), n);
+  CERL_CHECK(epilogue.act == simd::EwFwd::kNone ||
+             epilogue.act == simd::EwFwd::kElu ||
+             epilogue.act == simd::EwFwd::kTanh);
   if (m == 0 || n == 0) return;
   // With alpha == 0 only the beta step is left: an empty k range.
   if (alpha == 0.0) k = 0;
-  if (k == 0 && beta == 1.0) return;
+  if (k == 0 && beta == 1.0 && epilogue.bias == nullptr &&
+      epilogue.act == simd::EwFwd::kNone) {
+    return;
+  }
 
   // The kernel reads op(B) row-major. An untransposed B already is; a
   // transposed one is packed once into a buffer reused across calls
@@ -39,8 +46,13 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   }
   const int64_t a_rs = trans_a == Trans::kNo ? a.cols() : 1;
   const int64_t a_cs = trans_a == Trans::kNo ? 1 : a.cols();
-  simd::Kernels().gemm(m, n, k, alpha, a.data(), a_rs, a_cs, b_rows, ldb,
-                       beta, c->data(), n);
+  const simd::KernelSet& ks = simd::Kernels();
+  ks.gemm(m, n, k, alpha, a.data(), a_rs, a_cs, b_rows, ldb, beta, c->data(),
+          n, epilogue.bias);
+  if (epilogue.act != simd::EwFwd::kNone) {
+    ks.ew_forward(static_cast<int>(epilogue.act), c->data(), c->data(),
+                  c->size());
+  }
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

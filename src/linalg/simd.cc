@@ -95,11 +95,12 @@ double RowDotScalar(const double* row, const double* x, int n) {
 
 void GemmScalar(int m, int n, int k, double alpha, const double* a,
                 int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
-                double beta, double* c, int64_t ldc) {
+                double beta, double* c, int64_t ldc, const double* bias) {
   // The gemm contract's plain formula for every column: a C row is
   // initialized from beta, then accumulates one rounded
   // ((a0*b0 + a1*b1) + a2*b2) + a3*b3 per group of four k and one a*b per
-  // remainder k, with a = alpha * op(A).
+  // remainder k, with a = alpha * op(A). The finished row then takes the
+  // bias, with add_row_broadcast's add.
   for (int i = 0; i < m; ++i) {
     const double* ai = a + i * a_rs;
     double* ci = c + i * ldc;
@@ -126,6 +127,9 @@ void GemmScalar(int m, int n, int k, double alpha, const double* a,
       const double ap = alpha * ai[p * a_cs];
       const double* bp = b + p * ldb;
       for (int j = 0; j < n; ++j) ci[j] += ap * bp[j];
+    }
+    if (bias != nullptr) {
+      for (int j = 0; j < n; ++j) ci[j] = ci[j] + bias[j];
     }
   }
 }

@@ -44,7 +44,9 @@
 //    the scalar expression shape; the AVX2 versions use FMA, so they track
 //    the scalar results to a few ulp per accumulation (tests document the
 //    tolerance). gemm's exact per-element formula is spelled out at its
-//    table entry.
+//    table entry. Its optional bias row is add_row_broadcast's add, done
+//    on the accumulator before the store, so a dense layer's product and
+//    bias are bitwise the two separate passes.
 //  - ew_forward's ELU and tanh (EwFwd::kElu / kTanh) are approximations
 //    of libm's expm1 and tanh, within 2 and 3 ulp of them respectively
 //    (tests/activation_oracle_test.cc keeps the libm formulas as the
@@ -88,7 +90,8 @@ enum class EwGrad : int {
 /// they equal the scalar formula bit for bit. kElu and kTanh run the
 /// in-repo expm1 core under the activation contract in the file comment.
 /// The other transcendental forwards (sigmoid/exp/log) stay on the scalar
-/// libm path in autodiff.
+/// libm path in autodiff. kNone is linalg::GemmEpilogue's "no activation";
+/// it is not an ew_forward op, and ew_forward must not be called with it.
 enum class EwFwd : int {
   kReciprocal = 0,  ///< 1 / x
   kRelu,            ///< x > 0 ? x : 0
@@ -97,6 +100,7 @@ enum class EwFwd : int {
   kAbs,             ///< fabs(x)
   kElu,             ///< x >= 0 ? x : expm1(x)
   kTanh,            ///< tanh(x)
+  kNone = -1,       ///< no activation (not an ew_forward op)
 };
 
 struct KernelSet {
@@ -124,9 +128,13 @@ struct KernelSet {
   /// In the scalar table every column is plain; in the AVX2 table the last
   /// n % 4 columns are plain and the rest are vector columns. The result is
   /// independent of any tiling, and k == 0 applies only the beta step.
+  /// Then, if bias != nullptr, on every column alike (the n % 4 tail too):
+  ///   c = c + bias[j]   (one plain IEEE add, before c is stored)
+  /// so each element is bitwise the bias-free gemm followed by
+  /// add_row_broadcast(bias) over C.
   void (*gemm)(int m, int n, int k, double alpha, const double* a,
                int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
-               double beta, double* c, int64_t ldc);
+               double beta, double* c, int64_t ldc, const double* bias);
 
   /// One Adam update over n contiguous elements (bias-corrected step with
   /// optional decoupled weight decay). Elementwise, so any range split
@@ -214,9 +222,9 @@ struct KernelSet {
   void (*mat_tvec_accum)(const double* mat, int64_t ld, const double* u,
                          int rows, int cols, double* out);
 
-  /// out[i] = f(x[i]) with f selected by `op` (an EwFwd value): plain
-  /// arithmetic / compare-select / IEEE-exact sqrt, or the ELU/tanh
-  /// approximations whose contract is in the file comment.
+  /// out[i] = f(x[i]) with f selected by `op` (an EwFwd value other than
+  /// kNone): plain arithmetic / compare-select / IEEE-exact sqrt, or the
+  /// ELU/tanh approximations whose contract is in the file comment.
   void (*ew_forward)(int op, const double* x, double* out, int64_t n);
 };
 

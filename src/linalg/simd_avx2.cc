@@ -143,7 +143,9 @@ double RowDotAvx2(const double* row, const double* x, int n) {
 // pack) and op(B) row by row. Per element this is exactly the gemm contract
 // in simd.h: t = a0*b0, FMA-chained with a1*b1, a2*b2, a3*b3, then c + t per
 // group of four k; fma(a, b, c) per remainder k. The n % 4 tail columns use
-// the plain mul/add chain (GemmPlainColumns).
+// the plain mul/add chain (GemmPlainColumns). The bias is one more add on
+// the accumulator before its store (add_row_broadcast's add, operands in
+// its order).
 
 // alpha * op(A)(r, p) broadcast to every lane; alpha == 1 skips the exact
 // multiply.
@@ -156,7 +158,8 @@ inline __m256d LoadA(const double* p, __m256d alpha_v) {
 template <int MR, int NV, bool kAlphaOne>
 inline void GemmTileAvx2(int k, double alpha, const double* a, int64_t a_rs,
                          int64_t a_cs, const double* b, int64_t ldb,
-                         double beta, double* c, int64_t ldc) {
+                         double beta, double* c, int64_t ldc,
+                         const double* bias) {
   const __m256d alpha_v = _mm256_set1_pd(alpha);
   __m256d acc[MR][NV];
   for (int r = 0; r < MR; ++r) {
@@ -202,6 +205,12 @@ inline void GemmTileAvx2(int k, double alpha, const double* a, int64_t a_rs,
       }
     }
   }
+  if (bias != nullptr) {
+    for (int v = 0; v < NV; ++v) {
+      const __m256d bv = _mm256_loadu_pd(bias + 4 * v);
+      for (int r = 0; r < MR; ++r) acc[r][v] = _mm256_add_pd(acc[r][v], bv);
+    }
+  }
   for (int r = 0; r < MR; ++r) {
     for (int v = 0; v < NV; ++v) {
       _mm256_storeu_pd(c + r * ldc + 4 * v, acc[r][v]);
@@ -215,7 +224,8 @@ inline void GemmTileAvx2(int k, double alpha, const double* a, int64_t a_rs,
 template <int MR, bool kAlphaOne>
 void GemmPlainColumns(int j0, int j1, int k, double alpha, const double* a,
                       int64_t a_rs, int64_t a_cs, const double* b,
-                      int64_t ldb, double beta, double* c, int64_t ldc) {
+                      int64_t ldb, double beta, double* c, int64_t ldc,
+                      const double* bias) {
   auto scaled = [alpha](double x) { return kAlphaOne ? x : alpha * x; };
   for (int j = j0; j < j1; ++j) {
     double acc[MR];
@@ -239,7 +249,9 @@ void GemmPlainColumns(int j0, int j1, int k, double alpha, const double* a,
         acc[r] += scaled(a[r * a_rs + p * a_cs]) * bp;
       }
     }
-    for (int r = 0; r < MR; ++r) c[r * ldc + j] = acc[r];
+    for (int r = 0; r < MR; ++r) {
+      c[r * ldc + j] = bias == nullptr ? acc[r] : acc[r] + bias[j];
+    }
   }
 }
 
@@ -248,57 +260,60 @@ void GemmPlainColumns(int j0, int j1, int k, double alpha, const double* a,
 template <int MR, bool kAlphaOne>
 void GemmRowsAvx2(int n, int k, double alpha, const double* a, int64_t a_rs,
                   int64_t a_cs, const double* b, int64_t ldb, double beta,
-                  double* c, int64_t ldc) {
+                  double* c, int64_t ldc, const double* bias) {
   const int n4 = n & ~3;
+  auto bias_at = [bias](int j) { return bias == nullptr ? bias : bias + j; };
   int j = 0;
   for (; j + 8 <= n4; j += 8) {
     GemmTileAvx2<MR, 2, kAlphaOne>(k, alpha, a, a_rs, a_cs, b + j, ldb, beta,
-                                   c + j, ldc);
+                                   c + j, ldc, bias_at(j));
   }
   if (j < n4) {
     GemmTileAvx2<MR, 1, kAlphaOne>(k, alpha, a, a_rs, a_cs, b + j, ldb, beta,
-                                   c + j, ldc);
+                                   c + j, ldc, bias_at(j));
   }
   if (n4 < n) {
     GemmPlainColumns<MR, kAlphaOne>(n4, n, k, alpha, a, a_rs, a_cs, b, ldb,
-                                    beta, c, ldc);
+                                    beta, c, ldc, bias);
   }
 }
 
 template <bool kAlphaOne>
 void GemmAvx2Impl(int m, int n, int k, double alpha, const double* a,
                   int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
-                  double beta, double* c, int64_t ldc) {
+                  double beta, double* c, int64_t ldc, const double* bias) {
   int i = 0;
   for (; i + 4 <= m; i += 4) {
     GemmRowsAvx2<4, kAlphaOne>(n, k, alpha, a + i * a_rs, a_rs, a_cs, b, ldb,
-                               beta, c + i * ldc, ldc);
+                               beta, c + i * ldc, ldc, bias);
   }
   const double* ai = a + i * a_rs;
   double* ci = c + i * ldc;
   switch (m - i) {
     case 3:
       GemmRowsAvx2<3, kAlphaOne>(n, k, alpha, ai, a_rs, a_cs, b, ldb, beta,
-                                 ci, ldc);
+                                 ci, ldc, bias);
       break;
     case 2:
       GemmRowsAvx2<2, kAlphaOne>(n, k, alpha, ai, a_rs, a_cs, b, ldb, beta,
-                                 ci, ldc);
+                                 ci, ldc, bias);
       break;
     case 1:
       GemmRowsAvx2<1, kAlphaOne>(n, k, alpha, ai, a_rs, a_cs, b, ldb, beta,
-                                 ci, ldc);
+                                 ci, ldc, bias);
       break;
   }
 }
 
 void GemmAvx2(int m, int n, int k, double alpha, const double* a,
               int64_t a_rs, int64_t a_cs, const double* b, int64_t ldb,
-              double beta, double* c, int64_t ldc) {
+              double beta, double* c, int64_t ldc, const double* bias) {
   if (alpha == 1.0) {
-    GemmAvx2Impl<true>(m, n, k, alpha, a, a_rs, a_cs, b, ldb, beta, c, ldc);
+    GemmAvx2Impl<true>(m, n, k, alpha, a, a_rs, a_cs, b, ldb, beta, c, ldc,
+                       bias);
   } else {
-    GemmAvx2Impl<false>(m, n, k, alpha, a, a_rs, a_cs, b, ldb, beta, c, ldc);
+    GemmAvx2Impl<false>(m, n, k, alpha, a, a_rs, a_cs, b, ldb, beta, c, ldc,
+                        bias);
   }
 }
 

@@ -24,8 +24,13 @@ void Linear::CollectParameters(std::vector<Parameter*>* out) {
 Var Linear::Forward(Tape* tape, Var x) {
   Var w = tape->Param(&weight_);
   Var b = tape->Param(&bias_);
-  Var out = autodiff::AddRowBroadcast(autodiff::MatMul(x, w), b);
-  return ApplyActivation(out, activation_);
+  // ELU and tanh run in the layer's GEMM epilogue; relu and sigmoid
+  // follow as their own node.
+  const linalg::simd::EwFwd fused = EpilogueActivation(activation_);
+  Var out = autodiff::LinearAct(x, w, b, fused);
+  return fused == linalg::simd::EwFwd::kNone
+             ? ApplyActivation(out, activation_)
+             : out;
 }
 
 }  // namespace cerl::nn

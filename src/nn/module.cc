@@ -15,6 +15,14 @@ Var ApplyActivation(Var x, Activation act) {
   return x;
 }
 
+linalg::simd::EwFwd EpilogueActivation(Activation act) {
+  switch (act) {
+    case Activation::kElu: return linalg::simd::EwFwd::kElu;
+    case Activation::kTanh: return linalg::simd::EwFwd::kTanh;
+    default: return linalg::simd::EwFwd::kNone;
+  }
+}
+
 std::vector<Parameter*> Module::Parameters() {
   std::vector<Parameter*> out;
   CollectParameters(&out);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "autodiff/tape.h"
+#include "linalg/simd.h"
 
 namespace cerl::nn {
 
@@ -17,6 +18,11 @@ enum class Activation { kNone, kRelu, kElu, kTanh, kSigmoid };
 
 /// Applies the chosen activation as a tape op.
 Var ApplyActivation(Var x, Activation act);
+
+/// The activation a dense layer's GEMM epilogue applies: EwFwd::kElu or
+/// kTanh for those two; kNone for kNone and for the activations applied as
+/// their own op after the layer (relu, sigmoid).
+linalg::simd::EwFwd EpilogueActivation(Activation act);
 
 /// Base class for trainable components.
 class Module {

@@ -81,14 +81,17 @@ void BatchPredictor::ForwardLayer(const DenseLayer& layer,
                          scratch.data());
     linalg::Gemm(linalg::Trans::kNo, linalg::Trans::kNo, 1.0, scratch,
                  layer.weight, 0.0, out);
+    ApplyActivationInPlace(layer.activation, out);
   } else {
-    linalg::Matrix& pre = Acquire(&pre_, rows, layer.weight.cols());
+    // autodiff::LinearAct's forward: one Gemm whose epilogue adds the bias
+    // and applies ELU/tanh; relu and sigmoid follow in place.
+    const linalg::simd::EwFwd fused = nn::EpilogueActivation(layer.activation);
     linalg::Gemm(linalg::Trans::kNo, linalg::Trans::kNo, 1.0, in,
-                 layer.weight, 0.0, &pre);
-    ks.add_row_broadcast(pre.data(), layer.bias.data(), rows, pre.cols(),
-                         out->data());
+                 layer.weight, 0.0, out, {layer.bias.data(), fused});
+    if (fused == linalg::simd::EwFwd::kNone) {
+      ApplyActivationInPlace(layer.activation, out);
+    }
   }
-  ApplyActivationInPlace(layer.activation, out);
 }
 
 const linalg::Matrix& BatchPredictor::ForwardMlp(

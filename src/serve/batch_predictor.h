@@ -2,11 +2,12 @@
 //
 // The training stack runs forwards through the autodiff Tape (it needs the
 // graph for backward). A query does not: this predictor replays the tape's
-// exact forward op sequence — Standardize, Gemm + add_row_broadcast +
-// activation per Linear, the RowL2Normalize / precomputed-ColL2Normalize
-// pair per cosine layer — directly into a reusable arena of scratch
-// matrices, with no Tape, no nodes, and no allocations after warm-up
-// (asserted via arena_allocations() in tests/serve_test.cc).
+// exact forward op sequence — Standardize, one Gemm with its bias and
+// activation epilogue per Linear, the RowL2Normalize /
+// precomputed-ColL2Normalize pair per cosine layer — directly into a
+// reusable arena of scratch matrices, with no Tape, no nodes, and no
+// allocations after warm-up (asserted via arena_allocations() in
+// tests/serve_test.cc).
 //
 // Batches are processed in 64-row blocks. Gemm computes every output row
 // with the same per-element formula whatever the row count or tiling (see
@@ -82,7 +83,7 @@ class BatchPredictor {
                   int r0, int rows);
 
   Buf x_;           ///< standardized input block
-  Buf pre_;         ///< linear pre-bias / cosine-normalized input
+  Buf pre_;         ///< cosine-normalized input
   Buf norm_;        ///< cosine per-row reciprocal norms (rows x 1)
   Buf pp_[2];       ///< hidden-layer ping-pong
   Buf rep_;         ///< representation block (survives both head passes)

@@ -101,6 +101,7 @@ TrainStats TrainLoop::Run(
       optimizer.Step();
       ++stats.steps;
       stats.samples_seen += count;
+      stats.tape_nodes += tape->size();
     }
     stats.epochs_run = epoch + 1;
 

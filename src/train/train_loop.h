@@ -78,6 +78,7 @@ struct TrainStats {
   double wall_seconds = 0.0;     ///< total Run() wall time
   int64_t steps = 0;             ///< optimizer steps taken
   int64_t samples_seen = 0;      ///< sum of batch sizes over all steps
+  int64_t tape_nodes = 0;        ///< nodes recorded, summed over all steps
 };
 
 /// Copies current parameter values (early-stopping snapshots).

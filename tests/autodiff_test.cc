@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "autodiff/composite.h"
 #include "autodiff/ops.h"
 #include "autodiff/tape.h"
 #include "grad_check.h"
+#include "linalg/simd.h"
 #include "util/rng.h"
 
 namespace cerl::autodiff {
@@ -252,6 +255,114 @@ TEST(GradTest, TwoLayerNetworkComposition) {
         return MseLoss(out, v[4]);
       },
       1e-5);
+}
+
+TEST(GradTest, LinearAct) {
+  for (linalg::simd::EwFwd act :
+       {linalg::simd::EwFwd::kNone, linalg::simd::EwFwd::kElu,
+        linalg::simd::EwFwd::kTanh}) {
+    Rng rng(20);
+    CheckGradients(
+        {RandomMatrix(&rng, 4, 3), RandomMatrix(&rng, 3, 5),
+         RandomMatrix(&rng, 1, 5)},
+        [act](Tape*, const std::vector<Var>& v) {
+          return Sum(Square(LinearAct(v[0], v[1], v[2], act)));
+        },
+        1e-5);
+  }
+}
+
+// One dense layer's value and the gradients of x, w and b, recorded either
+// as the fused LinearAct node or as the MatMul -> AddRowBroadcast -> act
+// chain it replaces. The upstream gradient is an arbitrary G: the loss is
+// Sum(y .* G).
+struct DenseLayerRun {
+  Matrix y, gx, gw, gb;
+  int nodes = 0;  ///< nodes the layer itself recorded
+};
+
+DenseLayerRun RunDenseLayer(bool fused, linalg::simd::EwFwd act,
+                            const Matrix& x, bool x_requires_grad,
+                            const Matrix& w, const Matrix& b,
+                            const Matrix& g) {
+  Tape tape;
+  Var xv = x_requires_grad ? tape.Leaf(x) : tape.Constant(x);
+  Var wv = tape.Leaf(w);
+  Var bv = tape.Leaf(b);
+  const int before = tape.size();
+  Var y;
+  if (fused) {
+    y = LinearAct(xv, wv, bv, act);
+  } else {
+    y = AddRowBroadcast(MatMul(xv, wv), bv);
+    if (act == linalg::simd::EwFwd::kElu) y = Elu(y);
+    if (act == linalg::simd::EwFwd::kTanh) y = Tanh(y);
+  }
+  DenseLayerRun run;
+  run.nodes = tape.size() - before;
+  tape.Backward(Sum(Mul(y, tape.Constant(g))));
+  run.y = y.value();
+  if (x_requires_grad) run.gx = xv.grad();
+  run.gw = wv.grad();
+  run.gb = bv.grad();
+  return run;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      sizeof(double) * static_cast<size_t>(a.size())) == 0);
+}
+
+// LinearAct against the chain, by bit pattern, in both kernel tables: the
+// value and every gradient, over shapes that cover the GEMM's m % 4 and
+// n % 4 tails, with signed zeros in x, w and b and pre-activations from
+// deep in ELU's saturated range to tanh's +-1 plateau. The node keeps only
+// y; ELU's derivative read from y must equal the chain's, read from the
+// pre-activation.
+TEST(LinearActTest, BitwiseEqualsChainInBothTables) {
+  using linalg::simd::EwFwd;
+  for (bool scalar : {true, false}) {
+    linalg::simd::ForceScalarForTesting(scalar);
+    Rng rng(21);
+    auto draw = [&rng](int rows, int cols, double scale) {
+      Matrix m = RandomMatrix(&rng, rows, cols, -scale, scale);
+      for (int64_t i = 0; i < m.size(); i += 7) m.data()[i] = 0.0;
+      for (int64_t i = 3; i < m.size(); i += 11) m.data()[i] = -0.0;
+      return m;
+    };
+    for (int m : {1, 3, 4, 5, 17, 128}) {
+      for (int in : {1, 3, 8, 32}) {
+        for (int out : {1, 2, 5, 32, 33}) {
+          const Matrix x = draw(m, in, 3.0);
+          const Matrix w = draw(in, out, 4.0);
+          const Matrix b = draw(1, out, 2.0);
+          const Matrix g = draw(m, out, 1.0);
+          for (EwFwd act : {EwFwd::kNone, EwFwd::kElu, EwFwd::kTanh}) {
+            for (bool x_grad : {true, false}) {
+              const DenseLayerRun chain =
+                  RunDenseLayer(false, act, x, x_grad, w, b, g);
+              const DenseLayerRun fused =
+                  RunDenseLayer(true, act, x, x_grad, w, b, g);
+              const std::string where =
+                  std::string(linalg::simd::Kernels().name) +
+                  " m=" + std::to_string(m) + " in=" + std::to_string(in) +
+                  " out=" + std::to_string(out) +
+                  " act=" + std::to_string(static_cast<int>(act));
+              EXPECT_TRUE(SameBits(fused.y, chain.y)) << where;
+              EXPECT_TRUE(SameBits(fused.gx, chain.gx)) << where;
+              EXPECT_TRUE(SameBits(fused.gw, chain.gw)) << where;
+              EXPECT_TRUE(SameBits(fused.gb, chain.gb)) << where;
+              EXPECT_EQ(fused.nodes, 1);
+              EXPECT_EQ(chain.nodes, act == EwFwd::kNone ? 2 : 3);
+            }
+          }
+        }
+      }
+    }
+  }
+  linalg::simd::ForceScalarForTesting(false);
 }
 
 TEST(ValueTest, CosineOfIdenticalRowsIsOne) {

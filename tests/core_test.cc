@@ -232,6 +232,24 @@ TEST(CerlTrainerTest, ContinualStageKeepsBothDomainsUsable) {
   EXPECT_LT(prev.pehe, 1.1);
 }
 
+// The tape of one CERL continual step (Eq. 9: factual loss, distillation,
+// transformation, memory replay, IPM and elastic net) holds exactly this
+// many nodes. One epoch with a batch larger than the training split makes
+// the stage a single step. Each nn::Linear layer (with ELU, tanh or no
+// activation) records one LinearAct node; as MatMul -> AddRowBroadcast ->
+// activation the same step recorded 159 nodes.
+TEST(CerlTrainerTest, ContinualStepTapeNodeCount) {
+  auto stream = MakeShiftedStream(12, 2.0);
+  CerlConfig config = FastCerlConfig();
+  config.train.epochs = 1;
+  config.train.batch_size = 1000;
+  CerlTrainer trainer(config, 8);
+  trainer.ObserveDomain(stream[0]);
+  const causal::TrainStats stats = trainer.ObserveDomain(stream[1]);
+  ASSERT_EQ(stats.steps, 1);
+  EXPECT_EQ(stats.tape_nodes, 141);
+}
+
 TEST(CerlTrainerTest, MemoryNeverStoresRawCovariates) {
   auto stream = MakeShiftedStream(12, 1.5);
   CerlConfig config = FastCerlConfig();

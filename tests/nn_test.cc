@@ -73,6 +73,38 @@ TEST(LinearTest, GradientMatchesNumeric) {
       1e-5);
 }
 
+// ELU, tanh and no activation run in the layer's one LinearAct node; relu
+// and sigmoid follow it as their own node. Either way the value is
+// act(x W + b).
+TEST(LinearTest, ActivationFusesIntoOneNodeWhereTheEpilogueHasIt) {
+  struct Case {
+    Activation act;
+    int nodes;  // weight and bias leaves + the layer's own nodes
+    double (*f)(double);
+  };
+  const Case cases[] = {
+      {Activation::kNone, 3, [](double v) { return v; }},
+      {Activation::kElu, 3, [](double v) { return v > 0 ? v : std::expm1(v); }},
+      {Activation::kTanh, 3, [](double v) { return std::tanh(v); }},
+      {Activation::kRelu, 4, [](double v) { return v > 0 ? v : 0.0; }},
+      {Activation::kSigmoid, 4,
+       [](double v) { return 1.0 / (1.0 + std::exp(-v)); }},
+  };
+  for (const Case& c : cases) {
+    Rng rng(4);
+    Linear layer(&rng, 3, 2, c.act);
+    layer.weight().value = Matrix{{1, 0}, {0, -1}, {1, 1}};
+    layer.bias().value = Matrix{{0.5, -0.5}};
+    Tape tape;
+    Var x = tape.Constant(Matrix{{1, 2, -3}});
+    const int before = tape.size();
+    Var out = layer.Forward(&tape, x);
+    EXPECT_EQ(tape.size() - before, c.nodes) << static_cast<int>(c.act);
+    EXPECT_NEAR(out.value()(0, 0), c.f(1 - 3 + 0.5), 1e-15);
+    EXPECT_NEAR(out.value()(0, 1), c.f(-2 - 3 - 0.5), 1e-15);
+  }
+}
+
 TEST(CosineLinearTest, OutputsBoundedByActivation) {
   Rng rng(4);
   CosineLinear layer(&rng, 6, 4, Activation::kNone);

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/gemm.h"
 #include "linalg/ops.h"
 #include "linalg/simd.h"
 #include "util/rng.h"
@@ -181,9 +182,9 @@ TEST(GemmKernelTest, Avx2GemmMatchesScalarWithinTolerance) {
         std::vector<double> cv = cs;
         const double alpha = 1.25;
         ScalarKernels().gemm(m, nw, kw, alpha, a.data(), kw, 1, bp.data(), nw,
-                             1.0, cs.data(), nw);
+                             1.0, cs.data(), nw, nullptr);
         Kernels().gemm(m, nw, kw, alpha, a.data(), kw, 1, bp.data(), nw, 1.0,
-                       cv.data(), nw);
+                       cv.data(), nw, nullptr);
         for (int j = 0; j < m * nw; ++j) {
           EXPECT_NEAR(cs[j], cv[j], 1e-13 * kw)
               << "m=" << m << " kw=" << kw << " nw=" << nw;
@@ -345,6 +346,8 @@ TEST(EwForwardKernelTest, CrossTableBitwiseAndFormulaExact) {
           case EwFwd::kSqrt: ref = std::sqrt(x[i]); break;
           case EwFwd::kSquare: ref = x[i] * x[i]; break;
           case EwFwd::kAbs: ref = std::fabs(x[i]); break;
+          case EwFwd::kNone:
+            FAIL() << "kNone is not an ew_forward op";
           case EwFwd::kElu:
           case EwFwd::kTanh:
             FAIL() << "approximations: see activation_oracle_test.cc";
@@ -678,6 +681,132 @@ TEST(BroadcastKernelTest, EdgeValuesEveryWidthOffsetAndInPlace) {
       }
     }
   }
+}
+
+// --- the gemm epilogue ----------------------------------------------------
+//
+// A dense layer act(x W + b) is one linalg::Gemm call: the kernel adds the
+// bias before its store, then Gemm runs ew_forward over C. Both must be
+// bitwise the passes a dense layer ran before: the bias-free gemm, then
+// add_row_broadcast, then ew_forward. The grid covers every m % 4 and
+// n % 4 class (the AVX2 table's row blocks, its 8- and 4-wide tiles and
+// its plain tail columns), n = 1, the k % 4 remainders, and k = 0, where C
+// reaches the epilogue as given, so the edge values of C and the bias meet
+// the bias add and the activation directly. A, B, C and the bias mix
+// uniform values with the edge pool (signed zeros, infinities, NaN,
+// subnormals).
+struct EpilogueCase {
+  int m, n, k;
+  double alpha;
+  std::vector<double> a, b, bias, c;
+};
+
+template <typename Fn>
+void ForEachEpilogueCase(Fn fn) {
+  const int pool = static_cast<int>(sizeof(kEdgePool) / sizeof(kEdgePool[0]));
+  Rng rng(89);
+  auto fill = [&](std::vector<double>* v) {
+    for (double& x : *v) {
+      const int pick = static_cast<int>(rng.Uniform(0.0, pool * 6.0));
+      x = pick < pool ? kEdgePool[pick] : rng.Uniform(-3.0, 3.0);
+    }
+  };
+  for (int m : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+    for (int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17}) {
+      for (int k : {0, 1, 2, 4, 5, 9}) {
+        EpilogueCase t{m, n, k, (m + n + k) % 2 == 0 ? 1.0 : -0.75,
+                       std::vector<double>(m * k), std::vector<double>(k * n),
+                       std::vector<double>(n), std::vector<double>(m * n)};
+        fill(&t.a);
+        fill(&t.b);
+        fill(&t.bias);
+        fill(&t.c);
+        for (double beta : {0.0, 1.0, 0.5}) fn(t, beta);
+      }
+    }
+  }
+}
+
+// The kernel's bias, in both tables, with C packed and with a padded row
+// stride whose padding must come back untouched.
+TEST(GemmEpilogueKernelTest, BiasBitwiseEqualsAddRowBroadcastInBothTables) {
+  const KernelSet* sets[] = {&ScalarKernels(), &Kernels()};
+  ForEachEpilogueCase([&](const EpilogueCase& t, double beta) {
+    for (const KernelSet* ks : sets) {
+      for (int pad : {0, 3}) {
+        const int ldc = t.n + pad;
+        std::vector<double> c0(t.m * ldc);
+        for (int i = 0; i < t.m * ldc; ++i) {
+          c0[i] = i % ldc < t.n ? t.c[i / ldc * t.n + i % ldc] : 7.0 + i;
+        }
+        std::vector<double> want = c0;
+        ks->gemm(t.m, t.n, t.k, t.alpha, t.a.data(), t.k, 1, t.b.data(), t.n,
+                 beta, want.data(), ldc, nullptr);
+        for (int r = 0; r < t.m; ++r) {
+          double* row = want.data() + r * ldc;
+          ks->add_row_broadcast(row, t.bias.data(), 1, t.n, row);
+        }
+        std::vector<double> got = c0;
+        ks->gemm(t.m, t.n, t.k, t.alpha, t.a.data(), t.k, 1, t.b.data(), t.n,
+                 beta, got.data(), ldc, t.bias.data());
+        for (int i = 0; i < t.m * ldc; ++i) {
+          const bool padding = i % ldc >= t.n;
+          if (!SameBits(got[i], want[i]) ||
+              (padding && !SameBits(got[i], c0[i]))) {
+            ADD_FAILURE() << ks->name << " m=" << t.m << " n=" << t.n
+                          << " k=" << t.k << " beta=" << beta
+                          << " ldc=" << ldc << " row=" << i / ldc
+                          << " col=" << i % ldc << ": bias " << got[i]
+                          << " vs pass " << want[i];
+            return;
+          }
+        }
+      }
+    }
+  });
+}
+
+// linalg::Gemm with {bias, act} against Gemm, add_row_broadcast and
+// ew_forward, in both tables, for none/ELU/tanh with and without a bias.
+TEST(GemmEpilogueTest, BitwiseEqualsSeparatePassesInBothTables) {
+  for (bool scalar : {true, false}) {
+    ForceScalarForTesting(scalar);
+    const KernelSet& ks = Kernels();
+    ForEachEpilogueCase([&](const EpilogueCase& t, double beta) {
+      const Matrix a = Matrix::FromData(t.m, t.k, t.a);
+      const Matrix b = Matrix::FromData(t.k, t.n, t.b);
+      const Matrix c0 = Matrix::FromData(t.m, t.n, t.c);
+      for (bool with_bias : {false, true}) {
+        for (EwFwd act : {EwFwd::kNone, EwFwd::kElu, EwFwd::kTanh}) {
+          Matrix want = c0;
+          Gemm(Trans::kNo, Trans::kNo, t.alpha, a, b, beta, &want);
+          if (with_bias) {
+            ks.add_row_broadcast(want.data(), t.bias.data(), t.m, t.n,
+                                 want.data());
+          }
+          if (act != EwFwd::kNone) {
+            ks.ew_forward(static_cast<int>(act), want.data(), want.data(),
+                          want.size());
+          }
+          Matrix got = c0;
+          Gemm(Trans::kNo, Trans::kNo, t.alpha, a, b, beta, &got,
+               {with_bias ? t.bias.data() : nullptr, act});
+          for (int64_t i = 0; i < got.size(); ++i) {
+            if (!SameBits(got.data()[i], want.data()[i])) {
+              ADD_FAILURE() << ks.name << " m=" << t.m << " n=" << t.n
+                            << " k=" << t.k << " beta=" << beta
+                            << " bias=" << with_bias
+                            << " act=" << static_cast<int>(act)
+                            << " i=" << i << ": epilogue " << got.data()[i]
+                            << " vs passes " << want.data()[i];
+              return;
+            }
+          }
+        }
+      }
+    });
+  }
+  ForceScalarForTesting(false);
 }
 
 // --- mat_vec / mat_tvec_accum panels -------------------------------------

@@ -117,16 +117,18 @@ TEST(TaskGroupTest, SubmitAfterDrainRestartsPump) {
 
 TEST(TaskGroupTest, FencedSubmitSeesPriorTasksEffects) {
   // Each task reads the value the previous task wrote (no atomics): the
-  // group's serialization must carry the happens-before edge.
+  // group's serialization must carry the happens-before edge. Unsigned, so
+  // the chain wraps modulo 2^64 (defined) instead of overflowing; a task
+  // that ran out of order still yields a different value.
   WorkStealingPool pool({4, /*cost_aware=*/false});
   TaskGroup group(&pool);
-  long long value = 0;
+  unsigned long long value = 0;
   const int kTasks = 300;
   for (int i = 0; i < kTasks; ++i) {
     group.Submit([&value] { value = value * 3 + 1; });
   }
   group.Wait();
-  long long expected = 0;
+  unsigned long long expected = 0;
   for (int i = 0; i < kTasks; ++i) expected = expected * 3 + 1;
   EXPECT_EQ(value, expected);
 }
