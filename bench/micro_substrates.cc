@@ -431,8 +431,12 @@ BENCHMARK(BM_CorrelationMatrixGeneration);
 // One full balancing-penalty training step as the CFR/CERL loss builders
 // run it: persistent tape + Sinkhorn workspace, forward, backward, and a
 // small SGD drift of the representations between steps (which is what the
-// warm-started duals exploit).
-void BM_WassersteinPenaltyStep(benchmark::State& state) {
+// warm-started duals exploit). `fused` records ot::WassersteinPenalty's one
+// node (cost, plan and dC in the workspace's scratch); `chain` builds the
+// same penalty from the public ops, PairwiseSquaredDistancesVar ->
+// ConstantView(plan) -> Mul -> Sum, with two n1 x n2 tape nodes. Both give
+// the same bits; bench-smoke gates fused against chain in the same run.
+void BM_WassersteinPenaltyStep(benchmark::State& state, bool fused) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(13);
   autodiff::Parameter reps(RandomMatrix(&rng, n, 16), "reps");
@@ -442,8 +446,18 @@ void BM_WassersteinPenaltyStep(benchmark::State& state) {
   ot::SinkhornWorkspace ws;
   for (auto _ : state) {
     tape.Reset();
-    autodiff::Var pen = ot::WassersteinPenalty(
-        tape.Param(&reps), tape.ConstantView(&fixed), config, &ws);
+    autodiff::Var a = tape.Param(&reps);
+    autodiff::Var b = tape.ConstantView(&fixed);
+    autodiff::Var pen;
+    if (fused) {
+      pen = ot::WassersteinPenalty(a, b, config, ws.lease());
+    } else {
+      autodiff::Var cost = ot::PairwiseSquaredDistancesVar(a, b);
+      auto solved = ot::SolveSinkhorn(cost.value(), config, &ws);
+      benchmark::DoNotOptimize(solved);
+      pen = autodiff::Sum(
+          autodiff::Mul(tape.ConstantView(&ws.plan()), cost));
+    }
     reps.ZeroGrad();
     tape.Backward(pen);
     for (int64_t i = 0; i < reps.value.size(); ++i) {
@@ -451,7 +465,8 @@ void BM_WassersteinPenaltyStep(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_WassersteinPenaltyStep)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_WassersteinPenaltyStep, chain, false)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_WassersteinPenaltyStep, fused, true)->Arg(64)->Arg(128);
 
 // Shared CERL-workload substrate for the engine/checkpoint benches: a toy
 // shifted domain and a small fast config.
@@ -766,10 +781,12 @@ void BM_WassersteinPenaltyBackward(benchmark::State& state) {
   autodiff::Parameter reps(RandomMatrix(&rng, n, 16), "reps");
   linalg::Matrix fixed = RandomMatrix(&rng, n, 16);
   ot::SinkhornConfig config;
+  config.warm_start = false;  // every step solves cold, as on a fresh tape
+  ot::SinkhornWorkspace ws;
   for (auto _ : state) {
     autodiff::Tape tape;
     autodiff::Var pen = ot::WassersteinPenalty(
-        tape.Param(&reps), tape.Constant(fixed), config);
+        tape.Param(&reps), tape.Constant(fixed), config, ws.lease());
     reps.ZeroGrad();
     tape.Backward(pen);
     benchmark::DoNotOptimize(reps.grad.data());

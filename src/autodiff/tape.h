@@ -24,8 +24,9 @@
 //
 // Backward functions are not heap-allocated std::function closures: each
 // node stores a plain function pointer plus a small trivially-copyable
-// payload (dependency ids, a scalar, an index-pool slice), so recording a
-// node never touches the allocator.
+// payload (dependency ids, a scalar, an index-pool slice, a pointer to
+// state the op's caller owns), so recording a node never touches the
+// allocator.
 //
 // Model parameters live outside the tape as `Parameter` (value + grad).
 // Each training step binds parameters as leaves via Tape::Param; after
@@ -154,6 +155,9 @@ class Tape {
     int aux = 0;     ///< op-specific (row split, index-pool offset, op)
     int aux2 = 0;    ///< op-specific (index-pool length)
     double k = 0.0;  ///< op-specific scalar
+    /// Op-specific state outside the tape (e.g. ot::WassersteinPenalty's
+    /// Sinkhorn scratch); the op's caller keeps it alive through Backward.
+    void* ext = nullptr;
   };
   /// Backward kernel: plain function pointer, no captures.
   using BackwardKernel = void (*)(Tape*, int self, const BackwardCtx&);

@@ -138,11 +138,11 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
   // elastic net. The loop mechanics live in train::TrainLoop, which also
   // assembles the covariate rows; the loss only gathers the per-unit
   // treatment/outcome scalars into step-reused buffers. The
-  // factual-split scratch and the Sinkhorn workspaces live here, next to
-  // the loop's retained tape, so steady-state steps allocate nothing in
-  // the loss builder; the workspaces are pooled by the (n_treated,
-  // n_control) split so the OT duals warm-start from the previous batch
-  // with the same split even when splits interleave.
+  // factual-split scratch and the Sinkhorn pool live here, next to the
+  // loop's retained tape, so steady-state steps allocate nothing in the
+  // loss builder; the pool keys the OT duals by the (n_treated, n_control)
+  // split so they warm-start from the previous batch with the same split
+  // even when splits interleave.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   FactualScratch factual_scratch;

@@ -54,7 +54,7 @@ struct FactualForward {
 /// steps and the target column matrices are ALIASED by the tape
 /// (ConstantView), so a scratch passed to BuildFactualLoss must outlive the
 /// tape pass and stay unmodified until Backward has run — own one per loss
-/// builder, next to its training loop, exactly like SinkhornWorkspace.
+/// builder, next to its training loop, exactly like SinkhornWorkspacePool.
 struct FactualScratch {
   std::vector<int> treated_idx, control_idx;
   linalg::Matrix y_treated, y_control;  ///< n x 1 head targets

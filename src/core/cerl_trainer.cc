@@ -296,9 +296,9 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   // Eq. 9 per-batch objective; the epoch/minibatch/early-stopping mechanics
   // live in train::TrainLoop, which assembles the row gathers of x_train
   // and old_reps_train. Scalar/memory gathers and the factual/memory split
-  // land in step-reused scratch, and the Sinkhorn workspaces (owned here,
-  // next to the training loop, pooled by the global
-  // treated/control split) warm-start the balancing duals from the
+  // land in step-reused scratch, and the Sinkhorn pool (owned here, next
+  // to the training loop: one solve scratch, duals keyed by the global
+  // treated/control split) warm-starts the balancing duals from the
   // previous step with the same split.
   std::vector<int> batch_t;
   linalg::Vector batch_y;

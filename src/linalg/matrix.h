@@ -92,7 +92,7 @@ class Matrix {
 
   /// Reshapes to rows x cols in place. The heap buffer is reused whenever
   /// the new element count fits the capacity already acquired, which is
-  /// what the arena-style consumers (autodiff::Tape, SinkhornWorkspace,
+  /// what the arena-style consumers (autodiff::Tape, SinkhornScratch,
   /// loss-builder scratch) rely on for zero-churn steady states; growth
   /// beyond it allocates exactly the new size. Nothing is written: element
   /// contents are unspecified after a shape-changing resize (new elements

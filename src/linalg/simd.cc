@@ -162,7 +162,6 @@ void MatVecScalar(const double* mat, int64_t ld, const double* x, int rows,
 CERL_FMA_CLONES
 void MatTVecAccumScalar(const double* mat, int64_t ld, const double* u,
                         int rows, int cols, double* out) {
-  for (int c = 0; c < cols; ++c) out[c] = 0.0;
   for (int r = 0; r < rows; ++r) {
     const double* row = mat + static_cast<size_t>(r) * ld;
     const double ur = u[r];

@@ -212,13 +212,15 @@ struct KernelSet {
   void (*mat_vec)(const double* mat, int64_t ld, const double* x, int rows,
                   int cols, double* out);
 
-  /// Transposed mat-vec accumulation panel: zero-fills out[0..cols) then
-  /// out[c] = fma(u[r], mat[r*ld + c], out[c]) with r strictly ascending
+  /// Transposed mat-vec accumulation panel: adds mat^T u into out[0..cols)
+  /// as out[c] = fma(u[r], mat[r*ld + c], out[c]) with r strictly ascending
   /// per element (the K^T u reference order; fma is correctly rounded, so
-  /// both tables agree bitwise). Implementations may
-  /// block over rows for locality; the per-element accumulation order
-  /// never changes, so the result is bitwise identical to the
-  /// row-at-a-time loop.
+  /// both tables agree bitwise). out is NOT zero-filled: callers zero it
+  /// before the first panel, and consecutive row panels then accumulate to
+  /// the bits of one call over all their rows. Implementations may block
+  /// over rows for locality; the per-element accumulation order never
+  /// changes, so the result is bitwise identical to the row-at-a-time
+  /// loop.
   void (*mat_tvec_accum)(const double* mat, int64_t ld, const double* u,
                          int rows, int cols, double* out);
 

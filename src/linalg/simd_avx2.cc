@@ -531,7 +531,6 @@ void MatTVecAccumAvx2(const double* mat, int64_t ld, const double* u,
   // ascending per element (fma(u_r0, ·, fma-chain), each fma correctly
   // rounded), so the result is bitwise the row-at-a-time scalar reference —
   // blocking only cuts the out[] load/store traffic 4x.
-  for (int c = 0; c < cols; ++c) out[c] = 0.0;
   int r = 0;
   for (; r + 4 <= rows; r += 4) {
     const double* row0 = mat + static_cast<size_t>(r) * ld;

@@ -155,27 +155,29 @@ SinkhornResult SolveLogDomain(const linalg::Matrix& cost, double reg,
 
 // --- Workspace (hot-path) solver -------------------------------------------
 
+bool Usable(double x) { return x > kUnderflow && std::isfinite(x); }
+
 bool AllUsable(const Vector& x, int n) {
   for (int i = 0; i < n; ++i) {
-    if (x[i] <= kUnderflow || !std::isfinite(x[i])) return false;
+    if (!Usable(x[i])) return false;
   }
   return true;
 }
 
-// kv = K v in one dispatched mat_vec call. kv is pre-sized by Reserve.
-void KernelTimesVec(const Matrix& kernel, const Vector& v, Vector* kv) {
-  linalg::simd::Kernels().mat_vec(kernel.row(0), kernel.cols(), v.data(),
-                                  kernel.rows(), kernel.cols(), kv->data());
-}
+// Rows of K per panel of the scaling sweep: 16 rows of a kernel up to 128
+// columns wide are at most 16 KB, so the panel that K·v has just read is
+// still in L1 when Kᵀu reads it.
+constexpr int kPanelRows = 16;
 
-// ktu = K^T u without a transpose: mat_tvec_accum walks the rows and sums
+// ktu = Kᵀ u without a transpose: mat_tvec_accum walks the rows and sums
 // every ktu[j] in row order, unit-stride in the inner loop. ktu is pre-sized
 // by Reserve.
-void KernelTransposeTimesVec(const Matrix& kernel, const Vector& u,
+void KernelTransposeTimesVec(const Matrix& kernel, const double* u,
                              Vector* ktu) {
-  linalg::simd::Kernels().mat_tvec_accum(kernel.row(0), kernel.cols(),
-                                         u.data(), kernel.rows(),
-                                         kernel.cols(), ktu->data());
+  std::fill(ktu->begin(), ktu->end(), 0.0);
+  linalg::simd::Kernels().mat_tvec_accum(kernel.row(0), kernel.cols(), u,
+                                         kernel.rows(), kernel.cols(),
+                                         ktu->data());
 }
 
 enum class ScalingOutcome { kConverged, kNotConverged, kDegenerate };
@@ -187,14 +189,14 @@ double RowViolation(const Vector& u, const Vector& kv, int n1, double a) {
   return violation;
 }
 
-// Column-marginal violation given ktu = K^T u.
+// Column-marginal violation given ktu = Kᵀ u.
 double ColViolation(const Vector& v, const Vector& ktu, int n2, double b) {
   double violation = 0.0;
   for (int j = 0; j < n2; ++j) violation += std::fabs(v[j] * ktu[j] - b);
   return violation;
 }
 
-// Runs the u/v scaling iteration in the workspace buffers. `have_u` marks a
+// Runs the u/v scaling iteration in the lease's buffers. `have_u` marks a
 // warm start where u already pairs with v (enabling the convergence check —
 // and thus a zero-iteration exit — before the first update). On
 // kNotConverged the final pair's violation is left in *final_violation so
@@ -205,52 +207,68 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
                           double* final_violation) {
   const int n1 = kernel.rows();
   const int n2 = kernel.cols();
+  const auto& ks = linalg::simd::Kernels();
   int iter = 0;
   for (; iter < config.max_iterations; ++iter) {
-    KernelTimesVec(kernel, *v, kv);
-    if (!AllUsable(*kv, n1)) {
-      *iterations = iter;
-      return ScalingOutcome::kDegenerate;
-    }
-    if (have_u) {
-      // u was computed against the previous kv, v against that u, and kv
-      // above is K v — the same quantity the reference solver checks, at
-      // O(n) extra cost (the kernel pass is shared with the u update).
-      if (RowViolation(*u, *kv, n1, a) < config.tolerance) {
-        // At iter > 0 the columns are exact by construction (v was just
-        // computed from this u and this kernel). At iter == 0 the pair is
-        // a warm start whose columns were exact for the PREVIOUS kernel
-        // only — cost drift could in principle move column mass while
-        // leaving every row sum intact, so a zero-iteration accept must
-        // also verify the column marginals (one extra K^T u pass, paid
-        // only on the accept candidate).
-        if (iter > 0) {
+    // One sweep over K in row panels. For each panel: kv = K v; the
+    // usability check and the row violation of the current (u, v) pair, in
+    // row order; u_next = a ./ kv written over kv; and the panel's rows of
+    // Kᵀ u_next added into ktu while the panel is still in L1. Every
+    // element sees the same operations in the same order as separate full
+    // passes, so the bits are those of the unfused iteration.
+    std::fill(ktu->begin(), ktu->end(), 0.0);
+    double violation = 0.0;
+    for (int r0 = 0; r0 < n1; r0 += kPanelRows) {
+      const int rows = std::min(kPanelRows, n1 - r0);
+      const double* panel = kernel.row(r0);
+      double* kv_panel = kv->data() + r0;
+      ks.mat_vec(panel, n2, v->data(), rows, n2, kv_panel);
+      for (int i = 0; i < rows; ++i) {
+        if (!Usable(kv_panel[i])) {
           *iterations = iter;
-          return ScalingOutcome::kConverged;
+          return ScalingOutcome::kDegenerate;
         }
-        KernelTransposeTimesVec(kernel, *u, ktu);
-        if (AllUsable(*ktu, n2) &&
-            ColViolation(*v, *ktu, n2, b) < config.tolerance) {
-          *iterations = iter;
-          return ScalingOutcome::kConverged;
-        }
+        violation += std::fabs((*u)[r0 + i] * kv_panel[i] - a);
       }
+      // vec_div_scalar is plain IEEE division — the same bits as the
+      // scalar loop.
+      ks.vec_div_scalar(a, kv_panel, kv_panel, rows);
+      ks.mat_tvec_accum(panel, n2, kv_panel, rows, n2, ktu->data());
     }
-    // vec_div_scalar is plain IEEE division — the same bits as the scalar
-    // loop.
-    linalg::simd::Kernels().vec_div_scalar(a, kv->data(), u->data(), n1);
+    if (have_u && violation < config.tolerance) {
+      // The pair (u, v) is accepted as is; u_next and ktu are dropped. At
+      // iter > 0 the columns are exact by construction (v was just
+      // computed from this u and this kernel). At iter == 0 the pair is a
+      // warm start whose columns were exact for the PREVIOUS kernel only —
+      // cost drift could in principle move column mass while leaving every
+      // row sum intact, so a zero-iteration accept must also verify the
+      // column marginals (one extra Kᵀu pass, paid only on the accept
+      // candidate).
+      if (iter > 0) {
+        *iterations = iter;
+        return ScalingOutcome::kConverged;
+      }
+      KernelTransposeTimesVec(kernel, u->data(), ktu);
+      if (AllUsable(*ktu, n2) &&
+          ColViolation(*v, *ktu, n2, b) < config.tolerance) {
+        *iterations = iter;
+        return ScalingOutcome::kConverged;
+      }
+      // Rejected: ktu must pair with u_next again.
+      KernelTransposeTimesVec(kernel, kv->data(), ktu);
+    }
+    std::copy(kv->begin(), kv->end(), u->begin());
     have_u = true;
-    KernelTransposeTimesVec(kernel, *u, ktu);
     if (!AllUsable(*ktu, n2)) {
       *iterations = iter;
       return ScalingOutcome::kDegenerate;
     }
-    linalg::simd::Kernels().vec_div_scalar(b, ktu->data(), v->data(), n2);
+    ks.vec_div_scalar(b, ktu->data(), v->data(), n2);
   }
   *iterations = iter;
   // The pair from the final iteration was never checked; measure it so the
   // caller can tell "slow but essentially converged" from "stuck".
-  KernelTimesVec(kernel, *v, kv);
+  ks.mat_vec(kernel.row(0), n2, v->data(), n1, n2, kv->data());
   if (!AllUsable(*kv, n1)) return ScalingOutcome::kDegenerate;
   *final_violation = RowViolation(*u, *kv, n1, a);
   if (*final_violation < config.tolerance) return ScalingOutcome::kConverged;
@@ -292,48 +310,44 @@ double AssemblePlanCost(const Matrix& cost, const Matrix& kernel,
 
 }  // namespace
 
-bool SinkhornWorkspace::AdaptWarmStart(int rows, int cols) {
-  if (warm_rows_ <= 0 || warm_cols_ <= 0) return false;
-  if (warm_rows_ == rows && warm_cols_ == cols) return false;
+bool SinkhornDuals::AdaptWarmStart(int rows, int cols) {
+  if (warm_rows <= 0 || warm_cols <= 0) return false;
+  if (warm_rows == rows && warm_cols == cols) return false;
   // resize keeps the prefix; only entries beyond the old shape get the cold
   // value. The scale of the retained duals is irrelevant: the first scaling
   // update recomputes u entirely from K·v (and v from Kᵀ·u), so only the
   // dual profile carries warm-start information.
-  u_.resize(rows);
-  for (int i = warm_rows_; i < rows; ++i) u_[i] = 1.0;
-  v_.resize(cols);
-  for (int j = warm_cols_; j < cols; ++j) v_[j] = 1.0;
-  warm_rows_ = rows;
-  warm_cols_ = cols;
+  u.resize(rows);
+  for (int i = warm_rows; i < rows; ++i) u[i] = 1.0;
+  v.resize(cols);
+  for (int j = warm_cols; j < cols; ++j) v[j] = 1.0;
+  warm_rows = rows;
+  warm_cols = cols;
   return true;
 }
 
-void SinkhornWorkspace::Reserve(int n1, int n2) {
+linalg::Matrix* SinkhornScratch::CostBuffer(int n1, int n2) {
+  if (static_cast<int64_t>(n1) * n2 > cost_.capacity()) ++allocations_;
+  cost_.Resize(n1, n2);
+  return &cost_;
+}
+
+void SinkhornScratch::Reserve(int n1, int n2) {
   const int64_t elems = static_cast<int64_t>(n1) * n2;
-  if (elems > mat_high_water_) {
-    allocations_ += 2;  // kernel_ + plan_
-    mat_high_water_ = elems;
-  }
+  if (elems > kernel_.capacity()) ++allocations_;
+  if (elems > plan_.capacity()) ++allocations_;
   kernel_.Resize(n1, n2);
   plan_.Resize(n1, n2);
-  if (n1 > row_high_water_) {
-    allocations_ += 2;  // u_ + kv_
-    row_high_water_ = n1;
-  }
-  u_.resize(n1);
+  if (static_cast<size_t>(n1) > kv_.capacity()) ++allocations_;
+  if (static_cast<size_t>(n2) > ktu_.capacity()) ++allocations_;
   kv_.resize(n1);
-  if (n2 > col_high_water_) {
-    allocations_ += 2;  // v_ + ktu_
-    col_high_water_ = n2;
-  }
-  v_.resize(n2);
   ktu_.resize(n2);
 }
 
 Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
                                         const SinkhornConfig& config,
-                                        SinkhornWorkspace* workspace) {
-  CERL_CHECK(workspace != nullptr);
+                                        SinkhornLease lease) {
+  CERL_CHECK(lease.scratch != nullptr && lease.duals != nullptr);
   const int n1 = cost.rows();
   const int n2 = cost.cols();
   if (n1 == 0 || n2 == 0) {
@@ -344,12 +358,14 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
   if (CERL_FAULT_POINT(FaultPoint::kSinkhornDiverge)) {
     return Status::NumericalError("injected sinkhorn non-convergence");
   }
+  SinkhornScratch& scratch = *lease.scratch;
+  SinkhornDuals& duals = *lease.duals;
   if (config.warm_start && config.adaptive_warm_start) {
-    workspace->AdaptWarmStart(n1, n2);
+    duals.AdaptWarmStart(n1, n2);
   }
-
-  SinkhornWorkspace& ws = *workspace;
-  ws.Reserve(n1, n2);
+  scratch.Reserve(n1, n2);
+  duals.u.resize(n1);
+  duals.v.resize(n2);
 
   // Scale-free regularization from the mean cost, summed row by row.
   double mean_cost = 0.0;
@@ -368,14 +384,14 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
   // exp (the biggest single cost of a cold solve).
   for (int i = 0; i < n1; ++i) {
     const double* crow = cost.row(i);
-    double* krow = ws.kernel_.row(i);
+    double* krow = scratch.kernel_.row(i);
     for (int j = 0; j < n2; ++j) krow[j] = crow[j] * neg_inv_reg;
     linalg::VecExp(krow, krow, n2);
   }
 
   const double a = 1.0 / n1;
   const double b = 1.0 / n2;
-  const bool can_warm = config.warm_start && ws.has_warm_start(n1, n2);
+  const bool can_warm = config.warm_start && duals.has_warm_start(n1, n2);
   SinkhornSolveInfo info;
   // First attempt warm (when retained duals fit), then cold; a degenerate
   // warm start must not poison the solve, it just costs one retry.
@@ -383,14 +399,14 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const bool warm = can_warm && attempt == 0;
     if (!warm) {
-      std::fill(ws.u_.begin(), ws.u_.end(), 1.0);
-      std::fill(ws.v_.begin(), ws.v_.end(), 1.0);
+      std::fill(duals.u.begin(), duals.u.end(), 1.0);
+      std::fill(duals.v.begin(), duals.v.end(), 1.0);
     }
     int iterations = 0;
     double final_violation = 0.0;
     const ScalingOutcome outcome =
-        RunScaling(ws.kernel_, config, a, b, /*have_u=*/warm, &ws.u_, &ws.v_,
-                   &ws.kv_, &ws.ktu_, &iterations, &final_violation);
+        RunScaling(scratch.kernel_, config, a, b, /*have_u=*/warm, &duals.u,
+                   &duals.v, &scratch.kv_, &scratch.ktu_, &iterations, &final_violation);
     if (outcome == ScalingOutcome::kDegenerate) continue;
     // Exhausting max_iterations far from the tolerance means the scaling
     // iteration is numerically stuck (tiny regularization): the plan would
@@ -403,25 +419,25 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
       continue;
     }
     const double total =
-        AssemblePlanCost(cost, ws.kernel_, ws.u_, ws.v_, &ws.plan_);
+        AssemblePlanCost(cost, scratch.kernel_, duals.u, duals.v, &scratch.plan_);
     if (std::isfinite(total)) {
       info.cost = total;
       info.iterations = iterations;
       info.warm_started = warm;
-      ws.warm_rows_ = n1;
-      ws.warm_cols_ = n2;
+      duals.warm_rows = n1;
+      duals.warm_cols = n2;
       return info;
     }
   }
 
   // Scaling under/overflowed even from a cold start: log-domain fallback
-  // (the rare small-regularization regime; allocates outside the workspace
-  // — correctness over churn here). The duals are not representable in the
+  // (the rare small-regularization regime; allocates outside the scratch —
+  // correctness over churn here). The duals are not representable in the
   // scaling form, so the warm start is dropped.
   SinkhornResult log_result =
       SolveLogDomain(cost, reg, config.max_iterations, config.tolerance);
-  ws.plan_.CopyFrom(log_result.plan);
-  ws.DropWarmStart();
+  scratch.plan_.CopyFrom(log_result.plan);
+  duals.DropWarmStart();
   info.cost = log_result.cost;
   info.iterations = log_result.iterations;
   info.warm_started = false;
@@ -430,6 +446,13 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
     return Status::NumericalError("sinkhorn: non-finite transport cost");
   }
   return info;
+}
+
+Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
+                                        const SinkhornConfig& config,
+                                        SinkhornWorkspace* workspace) {
+  CERL_CHECK(workspace != nullptr);
+  return SolveSinkhorn(cost, config, workspace->lease());
 }
 
 Result<SinkhornResult> SolveSinkhorn(const linalg::Matrix& cost,

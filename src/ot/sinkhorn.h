@@ -8,12 +8,19 @@
 //  - SolveSinkhorn(cost, config): the original allocate-per-call scalar
 //    solver, kept as the reference implementation (and the owner of the
 //    log-domain fallback for small regularization);
-//  - SolveSinkhorn(cost, config, workspace): the training hot path. All
-//    kernel/plan/dual/scratch buffers live in a caller-owned
-//    SinkhornWorkspace (the same arena pattern autodiff::Tape uses), so
+//  - SolveSinkhorn(cost, config, lease): the training hot path. It runs in
+//    caller-owned buffers (the same arena pattern autodiff::Tape uses), so
 //    steady-state solves allocate nothing, the duals are warm-started from
 //    the previous solve of the same shape, and the K·v / Kᵀ·u products and
 //    Gibbs-kernel exp run on the dispatched SIMD kernels.
+//
+// The hot path's buffers come in two kinds (Cuturi's scaling form carries
+// only the dual pair from one solve to the next):
+//  - per-shape warm state, SinkhornDuals: u, v and the shape they solve;
+//  - solve scratch, SinkhornScratch: the n1 x n2 cost, Gibbs kernel and
+//    plan, plus the K·v / Kᵀ·u vectors. Every solve rewrites them in full
+//    before reading them, so one scratch serves any number of shapes —
+//    SinkhornWorkspacePool keeps one scratch and a dual record per shape.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +61,8 @@ struct SinkhornResult {
   int iterations = 0;
 };
 
-/// Outcome of a workspace solve. The plan itself stays in the workspace
-/// (SinkhornWorkspace::plan()) so the steady state copies nothing.
+/// Outcome of a workspace solve. The plan itself stays in the scratch
+/// (SinkhornScratch::plan()) so the steady state copies nothing.
 struct SinkhornSolveInfo {
   double cost = 0.0;      ///< <plan, cost>
   int iterations = 0;     ///< dual updates performed (0: warm start already
@@ -64,48 +71,23 @@ struct SinkhornSolveInfo {
   bool used_log_domain = false; ///< scaling degenerated; log-domain fallback
 };
 
-class SinkhornWorkspace;
+struct SinkhornLease;
 
-/// Workspace overload: solves into the workspace's buffers. Steady-state
-/// solves with non-growing shapes perform zero heap allocations (asserted
-/// via SinkhornWorkspace::allocations()). Warm-starts the duals from the
-/// previous solve when config.warm_start and the shape matches; falls back
-/// to a cold start (and ultimately the log-domain solver) on numerical
-/// degeneration.
-Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
-                                        const SinkhornConfig& config,
-                                        SinkhornWorkspace* workspace);
-
-/// Reusable arena for SolveSinkhorn: the Gibbs kernel, the transport plan,
-/// the scaling duals u/v and the iteration scratch. Buffers grow to the
-/// high-water shape and are then reused; the retained duals double as the
-/// warm start for the next solve of the same shape. Not thread-safe: one
-/// workspace per concurrent solver (the trainers own theirs next to their
-/// training loops).
-class SinkhornWorkspace {
- public:
-  SinkhornWorkspace() = default;
-  SinkhornWorkspace(const SinkhornWorkspace&) = delete;
-  SinkhornWorkspace& operator=(const SinkhornWorkspace&) = delete;
-
-  /// Transport plan of the last successful solve (n1 x n2). Stable storage:
-  /// overwritten only by the next solve, so tape constants may alias it for
-  /// the duration of a training step.
-  const linalg::Matrix& plan() const { return plan_; }
-
-  /// Buffer (re)allocations performed since construction. Flat across
-  /// steady-state solves of non-growing shapes; tests assert this the same
-  /// way Tape::arena_allocations() proves the tape arena is zero-churn.
-  int64_t allocations() const { return allocations_; }
-
-  /// Drops the retained duals so the next solve starts cold (used after the
-  /// problem changes discontinuously, e.g. a new stage's representations).
-  void DropWarmStart() { warm_rows_ = warm_cols_ = -1; }
+/// Per-shape warm state: the scaling duals of the last successful solve and
+/// the shape they belong to. The only state that carries from one solve to
+/// the next (a solve reads u and v only when it warm-starts).
+struct SinkhornDuals {
+  linalg::Vector u, v;
+  int warm_rows = -1, warm_cols = -1;  ///< -1: no retained duals
 
   /// True if a solve of this shape would warm-start from retained duals.
   bool has_warm_start(int rows, int cols) const {
-    return warm_rows_ == rows && warm_cols_ == cols;
+    return warm_rows == rows && warm_cols == cols;
   }
+
+  /// Drops the retained duals so the next solve starts cold (used after the
+  /// problem changes discontinuously, e.g. a new stage's representations).
+  void DropWarmStart() { warm_rows = warm_cols = -1; }
 
   /// Reshapes retained duals from a previous solve of a different shape so a
   /// `rows x cols` solve warm-starts from them (see
@@ -114,25 +96,98 @@ class SinkhornWorkspace {
   /// without retained duals or when the shape already matches. Returns true
   /// if the duals were reshaped.
   bool AdaptWarmStart(int rows, int cols);
+};
+
+/// Solve scratch: the n1 x n2 cost, Gibbs kernel and transport plan and the
+/// K·v / Kᵀ·u vectors. A solve rewrites every buffer it reads, so the
+/// scratch carries nothing between solves and may be shared by any number
+/// of dual records. Buffers grow to the high-water shape and are then
+/// reused. Not thread-safe.
+class SinkhornScratch {
+ public:
+  SinkhornScratch() = default;
+  SinkhornScratch(const SinkhornScratch&) = delete;
+  SinkhornScratch& operator=(const SinkhornScratch&) = delete;
+
+  /// Transport plan of the last successful solve (n1 x n2). Stable storage:
+  /// overwritten only by the next solve on this scratch.
+  const linalg::Matrix& plan() const { return plan_; }
+
+  /// The cost buffer reshaped to n1 x n2, contents unspecified. Callers
+  /// that build the cost here (ot::WassersteinPenalty) solve on it and may
+  /// reuse it until the next solve, e.g. for the cost gradient. The solver
+  /// itself never touches it.
+  linalg::Matrix* CostBuffer(int n1, int n2);
+
+  /// Buffer (re)allocations performed since construction. Flat across
+  /// solves of shapes below the high-water shape; tests assert this the
+  /// same way Tape::arena_allocations() proves the tape arena is
+  /// zero-churn.
+  int64_t allocations() const { return allocations_; }
 
  private:
   friend Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix&,
                                                  const SinkhornConfig&,
-                                                 SinkhornWorkspace*);
+                                                 SinkhornLease);
 
-  /// Sizes every buffer for an n1 x n2 problem, counting the buffers that
-  /// actually had to grow beyond their high-water capacity.
+  /// Sizes the kernel, plan and iteration vectors for an n1 x n2 solve,
+  /// counting the buffers that had to grow beyond their capacity.
   void Reserve(int n1, int n2);
 
+  linalg::Matrix cost_;    ///< caller-built cost (see CostBuffer)
   linalg::Matrix kernel_;  ///< exp(-C / reg)
   linalg::Matrix plan_;    ///< diag(u) K diag(v)
-  linalg::Vector u_, v_;   ///< scaling duals (retained => warm start)
   linalg::Vector kv_, ktu_;
-  int warm_rows_ = -1, warm_cols_ = -1;
   int64_t allocations_ = 0;
-  int64_t mat_high_water_ = 0;
-  int row_high_water_ = 0, col_high_water_ = 0;
 };
+
+/// What one solve runs in: a shape's duals and a scratch, both borrowed.
+/// SinkhornWorkspacePool::Acquire hands these out; SinkhornWorkspace owns
+/// one of each.
+struct SinkhornLease {
+  SinkhornScratch* scratch = nullptr;
+  SinkhornDuals* duals = nullptr;
+};
+
+/// Hot-path solve into the lease's buffers. Steady-state solves with
+/// non-growing shapes perform zero heap allocations. Warm-starts the duals
+/// from the previous solve when config.warm_start and the shape matches;
+/// falls back to a cold start (and ultimately the log-domain solver) on
+/// numerical degeneration. `cost` may be the scratch's own cost buffer.
+Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
+                                        const SinkhornConfig& config,
+                                        SinkhornLease lease);
+
+/// One scratch and one dual record: a self-contained arena for callers that
+/// solve a single problem stream (probes, benches, tests). Not thread-safe:
+/// one workspace per concurrent solver.
+class SinkhornWorkspace {
+ public:
+  SinkhornWorkspace() = default;
+  SinkhornWorkspace(const SinkhornWorkspace&) = delete;
+  SinkhornWorkspace& operator=(const SinkhornWorkspace&) = delete;
+
+  SinkhornLease lease() { return {&scratch_, &duals_}; }
+
+  /// See SinkhornScratch::plan().
+  const linalg::Matrix& plan() const { return scratch_.plan(); }
+  /// See SinkhornScratch::allocations().
+  int64_t allocations() const { return scratch_.allocations(); }
+
+  void DropWarmStart() { duals_.DropWarmStart(); }
+  bool has_warm_start(int rows, int cols) const {
+    return duals_.has_warm_start(rows, cols);
+  }
+
+ private:
+  SinkhornScratch scratch_;
+  SinkhornDuals duals_;
+};
+
+/// Workspace overload of the hot-path solve (the lease of `workspace`).
+Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
+                                        const SinkhornConfig& config,
+                                        SinkhornWorkspace* workspace);
 
 /// Solves OT with uniform marginals for the given cost matrix (entries >= 0,
 /// at least one row and column). Log-domain stabilized. Reference

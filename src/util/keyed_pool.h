@@ -1,6 +1,6 @@
 // Bounded LRU pool of heavy reusable objects keyed by a 64-bit shape key.
 //
-// Its one user is ot::SinkhornWorkspacePool, which keys Sinkhorn workspaces
+// Its one user is ot::SinkhornWorkspacePool, which keys Sinkhorn dual records
 // by the (n_treated, n_control) split so each split finds the retained duals
 // of the last solve with the same split. There the key is part of the
 // numerics: the duals that seed a solve decide its result bits. (Tapes need
@@ -34,7 +34,7 @@ class KeyedLruPool {
   /// key sets pay full cold-start allocation on every miss), otherwise a
   /// fresh instance comes from `make()` (must return std::unique_ptr<V>).
   /// Callers must therefore treat an acquired object as possibly carrying
-  /// another key's state — SinkhornWorkspace does: it keys its warm start
+  /// another key's state — SinkhornDuals does: it keys its warm start
   /// by the problem shape itself. The returned pointer stays valid
   /// until this entry is evicted — i.e. at least until `capacity - 1` other
   /// keys have been acquired — never merely because other hits reordered

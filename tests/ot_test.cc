@@ -146,10 +146,11 @@ TEST(WassersteinPenaltyTest, DecreasesAsDistributionsAlign) {
   Matrix close = RandomMatrix(&rng, 12, 4, 0.3);
   Matrix far = RandomMatrix(&rng, 12, 4, 3.0);
   Tape tape;
+  SinkhornWorkspace ws_close, ws_far;
   Var pen_close = WassersteinPenalty(tape.Constant(a), tape.Constant(close),
-                                     config);
+                                     config, ws_close.lease());
   Var pen_far = WassersteinPenalty(tape.Constant(a), tape.Constant(far),
-                                   config);
+                                   config, ws_far.lease());
   EXPECT_GT(pen_far.scalar(), pen_close.scalar());
   EXPECT_GT(pen_close.scalar(), 0.0);
 }
@@ -162,10 +163,11 @@ TEST(WassersteinPenaltyTest, GradientPullsGroupsTogether) {
   Matrix fixed = RandomMatrix(&rng, 10, 3);
   autodiff::Parameter moving(RandomMatrix(&rng, 10, 3, 4.0), "m");
   double initial = 0.0, final = 0.0;
+  SinkhornWorkspace ws;
   for (int step = 0; step < 60; ++step) {
     Tape tape;
     Var pen = WassersteinPenalty(tape.Param(&moving), tape.Constant(fixed),
-                                 config);
+                                 config, ws.lease());
     if (step == 0) initial = pen.scalar();
     final = pen.scalar();
     moving.ZeroGrad();
@@ -182,10 +184,15 @@ TEST(IpmPenaltyTest, EmptyGroupYieldsZero) {
   SinkhornConfig config;
   Var empty = tape.Constant(Matrix(0, 3));
   Var some = tape.Constant(Matrix(4, 3, 1.0));
+  SinkhornWorkspace ws;
   EXPECT_DOUBLE_EQ(
-      IpmPenalty(IpmKind::kWasserstein, empty, some, config).scalar(), 0.0);
+      IpmPenalty(IpmKind::kWasserstein, empty, some, config, ws.lease())
+          .scalar(),
+      0.0);
   EXPECT_DOUBLE_EQ(
-      IpmPenalty(IpmKind::kLinearMmd, some, empty, config).scalar(), 0.0);
+      IpmPenalty(IpmKind::kLinearMmd, some, empty, config, ws.lease())
+          .scalar(),
+      0.0);
 }
 
 TEST(IpmPenaltyTest, DispatchesBothKinds) {
@@ -194,8 +201,12 @@ TEST(IpmPenaltyTest, DispatchesBothKinds) {
   SinkhornConfig config;
   Var a = tape.Constant(RandomMatrix(&rng, 6, 3));
   Var b = tape.Constant(RandomMatrix(&rng, 8, 3, 1.0));
-  EXPECT_GT(IpmPenalty(IpmKind::kWasserstein, a, b, config).scalar(), 0.0);
-  EXPECT_GT(IpmPenalty(IpmKind::kLinearMmd, a, b, config).scalar(), 0.0);
+  SinkhornWorkspace ws;
+  EXPECT_GT(
+      IpmPenalty(IpmKind::kWasserstein, a, b, config, ws.lease()).scalar(),
+      0.0);
+  EXPECT_GT(IpmPenalty(IpmKind::kLinearMmd, a, b, config, ws.lease()).scalar(),
+            0.0);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 // against a long-double reference instead of raw ulps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -862,7 +863,8 @@ TEST(MatVecKernelTest, Avx2MatchesScalarWithinRelativeTolerance) {
 
 // mat_tvec_accum uses correctly-rounded fma with r strictly ascending in
 // both tables: bitwise cross-table, bitwise equal to the reference loop,
-// and independent of column-range splits.
+// and independent of column-range and row-panel splits. It accumulates into
+// out without zero-filling it; every `out` below starts at zero.
 TEST(MatTVecAccumKernelTest, CrossTableReferenceAndColumnSplitExact) {
   Rng rng(61);
   for (int rows : {1, 2, 3, 4, 5, 9, 21}) {
@@ -894,6 +896,23 @@ TEST(MatTVecAccumKernelTest, CrossTableReferenceAndColumnSplitExact) {
         for (int c = 0; c < cols; ++c) {
           EXPECT_EQ(ref[c], part[c])
               << "split=" << split << " " << rows << "x" << cols;
+        }
+      }
+      // Row panels accumulating into one out (the Sinkhorn sweep calls it
+      // panel by panel) give the bits of the single call, in both tables.
+      const KernelSet* sets[] = {&Kernels(), &ScalarKernels()};
+      for (const KernelSet* ks : sets) {
+        for (int panel = 1; panel < rows; ++panel) {
+          std::vector<double> acc(cols, 0.0);
+          for (int r0 = 0; r0 < rows; r0 += panel) {
+            const int n = std::min(panel, rows - r0);
+            ks->mat_tvec_accum(mat.data() + r0 * cols, cols, u.data() + r0, n,
+                               cols, acc.data());
+          }
+          for (int c = 0; c < cols; ++c) {
+            EXPECT_EQ(ref[c], acc[c]) << ks->name << " panel=" << panel
+                                      << " " << rows << "x" << cols;
+          }
         }
       }
     }

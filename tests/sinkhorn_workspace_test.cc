@@ -1,16 +1,25 @@
-// Tests for the SinkhornWorkspace hot path: agreement with the reference
-// solver, warm-start equivalence and iteration savings, zero-allocation
-// steady state, the log-domain fallback, and the workspace-threaded
-// Wasserstein penalty.
+// Tests for the Sinkhorn hot path: agreement with the reference solver,
+// warm-start equivalence and iteration savings, zero-allocation steady
+// state, the log-domain fallback, the duals-only pool (against a pool of
+// whole workspaces), and the fused Wasserstein penalty node (against the
+// unfused chain, bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "autodiff/ops.h"
+#include "ipm_chain_oracle.h"
 #include "linalg/ops.h"
+#include "linalg/simd.h"
 #include "ot/ipm.h"
 #include "ot/sinkhorn.h"
 #include "ot/workspace_pool.h"
+#include "util/keyed_pool.h"
 #include "util/rng.h"
 
 namespace cerl::ot {
@@ -284,8 +293,8 @@ TEST(SinkhornWorkspacePoolTest, BoundedLruEvictsAndStaysCorrect) {
     const int n1 = 8 + 4 * (step % 3);
     Matrix a = RandomMatrix(&rng, n1, 5);
     Matrix b = RandomMatrix(&rng, 10, 5, 0.3);
-    SinkhornWorkspace* ws = pool.Acquire(n1, 10);
-    auto info = SolveSinkhorn(CostOf(a, b), config, ws);
+    SinkhornLease lease = pool.Acquire(n1, 10);
+    auto info = SolveSinkhorn(CostOf(a, b), config, lease);
     ASSERT_TRUE(info.ok());
     auto reference = SolveSinkhorn(CostOf(a, b), config);
     ASSERT_TRUE(reference.ok());
@@ -315,14 +324,14 @@ TEST(WassersteinPenaltyWorkspaceTest, MatchesLegacyValueAndGradient) {
   SinkhornWorkspace ws;
 
   Tape legacy_tape;
-  Var legacy_pen = WassersteinPenalty(legacy_tape.Param(&legacy_param),
-                                      legacy_tape.Constant(fixed), config);
+  Var legacy_pen = testing::WassersteinPenaltyChain(
+      legacy_tape.Param(&legacy_param), legacy_tape.Constant(fixed), config);
   legacy_param.ZeroGrad();
   legacy_tape.Backward(legacy_pen);
 
   Tape ws_tape;
   Var ws_pen = WassersteinPenalty(ws_tape.Param(&ws_param),
-                                  ws_tape.Constant(fixed), config, &ws);
+                                  ws_tape.Constant(fixed), config, ws.lease());
   ws_param.ZeroGrad();
   ws_tape.Backward(ws_pen);
 
@@ -344,7 +353,8 @@ TEST(WassersteinPenaltyWorkspaceTest, SteadyStateStepIsZeroChurn) {
   for (int step = 0; step < 12; ++step) {
     tape.Reset();
     Var pen = WassersteinPenalty(tape.Param(&moving),
-                                 tape.ConstantView(&fixed), config, &ws);
+                                 tape.ConstantView(&fixed), config,
+                                 ws.lease());
     if (step == 0) first = pen.scalar();
     last = pen.scalar();
     moving.ZeroGrad();
@@ -374,11 +384,236 @@ TEST(WassersteinPenaltyWorkspaceTest, IpmPenaltyDispatchThreadsWorkspace) {
   Var a = tape.Constant(RandomMatrix(&rng, 6, 3));
   Var b = tape.Constant(RandomMatrix(&rng, 8, 3, 1.0));
   EXPECT_GT(
-      IpmPenalty(IpmKind::kWasserstein, a, b, config, &ws).scalar(), 0.0);
+      IpmPenalty(IpmKind::kWasserstein, a, b, config, ws.lease()).scalar(),
+      0.0);
   EXPECT_TRUE(ws.has_warm_start(6, 8));
   // The MMD branch must ignore (and not disturb) the workspace.
-  EXPECT_GT(IpmPenalty(IpmKind::kLinearMmd, a, b, config, &ws).scalar(), 0.0);
+  EXPECT_GT(IpmPenalty(IpmKind::kLinearMmd, a, b, config, ws.lease()).scalar(),
+            0.0);
   EXPECT_TRUE(ws.has_warm_start(6, 8));
+}
+
+// --- fused penalty node against the unfused chain --------------------------
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.SameShape(y) &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// Representations with edge values mixed in: exact zeros, +-0, duplicated
+// rows (zero-cost pairs), tiny and subnormal entries, and a far outlier row
+// whose Gibbs-kernel entries underflow (zero plan entries, so dC = fma(g,
+// 0, 0) and its sign of zero matter).
+Matrix EdgeReps(Rng* rng, int rows, int cols, double shift) {
+  Matrix m = RandomMatrix(rng, rows, cols, shift);
+  for (int i = 0; i < rows; ++i) {
+    for (int c = 0; c < cols; ++c) {
+      switch ((i + c) % 9) {
+        case 0: m(i, c) = 0.0; break;
+        case 1: m(i, c) = -0.0; break;
+        case 2: m(i, c) = std::numeric_limits<double>::denorm_min(); break;
+        case 3: m(i, c) = 1e-160; break;
+        default: break;
+      }
+    }
+  }
+  if (rows > 2) {
+    for (int c = 0; c < cols; ++c) m(1, c) = m(0, c);
+  }
+  if (rows > 3) {
+    for (int c = 0; c < cols; ++c) m(rows - 1, c) = 40.0;
+  }
+  return m;
+}
+
+// Inputs of one penalty: each side is a Param (requires grad) or a
+// ConstantView, optionally concatenated with a detached memory block the
+// way CerlTrainer joins memory representations to the global IPM.
+struct SideSpec {
+  int rows;
+  int mem_rows;  // 0: no memory concat
+  bool grad;
+};
+
+Var BuildSide(Tape* tape, autodiff::Parameter* p, const Matrix& mem,
+              const SideSpec& spec) {
+  Var x = spec.grad ? tape->Param(p) : tape->ConstantView(&p->value);
+  if (spec.mem_rows > 0) x = autodiff::ConcatRows(x, tape->Constant(mem));
+  return x;
+}
+
+// Value, gA and gB of the fused node equal the chain's bit for bit, in both
+// kernel tables, with and without requires_grad on either side, on the
+// memory-concat shapes, 1 x n and n x 1, and through a sequence of warm
+// solves (the fused node and the chain each own a workspace that sees the
+// same problems). The root is scaled by +1, -0.5 and 0 so dC sees positive,
+// negative and zero upstream gradients.
+TEST(WassersteinPenaltyFusedTest, MatchesChainBitwise) {
+  const SideSpec shapes[][2] = {
+      {{13, 0, true}, {9, 0, true}},    {{1, 0, true}, {7, 0, true}},
+      {{7, 0, true}, {1, 0, true}},     {{1, 0, true}, {1, 0, true}},
+      {{20, 0, true}, {3, 0, false}},   {{5, 0, false}, {18, 0, true}},
+      {{6, 0, false}, {6, 0, false}},   {{37, 12, true}, {29, 11, true}},
+      {{0, 16, false}, {44, 16, true}}, {{64, 0, true}, {51, 0, true}},
+  };
+  const double root_scales[] = {1.0, -0.5, 0.0};
+  for (bool scalar : {false, true}) {
+    linalg::simd::ForceScalarForTesting(scalar);
+    for (const auto& spec : shapes) {
+      Rng rng(101);
+      const int d = 6;
+      // A 0-row side with memory models a batch whose new half is empty.
+      autodiff::Parameter pa(EdgeReps(&rng, std::max(1, spec[0].rows), d, 0.0));
+      autodiff::Parameter pb(EdgeReps(&rng, std::max(1, spec[1].rows), d, 0.6));
+      autodiff::Parameter qa(pa.value), qb(pb.value);
+      const Matrix mem_a = RandomMatrix(&rng, spec[0].mem_rows, d, 0.2);
+      const Matrix mem_b = RandomMatrix(&rng, spec[1].mem_rows, d, 0.4);
+      SideSpec sa = spec[0], sb = spec[1];
+      if (sa.rows == 0) sa.grad = false;
+      SinkhornConfig config;
+      SinkhornWorkspace fused_ws, chain_ws;
+      Tape fused_tape, chain_tape;
+      for (int step = 0; step < 6; ++step) {
+        const double k = root_scales[step % 3];
+        fused_tape.Reset();
+        chain_tape.Reset();
+        Var fa = BuildSide(&fused_tape, &pa, mem_a, sa);
+        Var fb = BuildSide(&fused_tape, &pb, mem_b, sb);
+        Var ca = BuildSide(&chain_tape, &qa, mem_a, sa);
+        Var cb = BuildSide(&chain_tape, &qb, mem_b, sb);
+        const int nodes_before = fused_tape.size();
+        Var fused = WassersteinPenalty(fa, fb, config, fused_ws.lease());
+        // One 1 x 1 node: the tape holds no n1 x n2 buffer.
+        ASSERT_EQ(fused_tape.size(), nodes_before + 1);
+        ASSERT_EQ(fused.rows(), 1);
+        ASSERT_EQ(fused.cols(), 1);
+        Var chain = testing::WassersteinPenaltyChain(ca, cb, config, &chain_ws);
+        ASSERT_TRUE(SameBits(fused.scalar(), chain.scalar()))
+            << fused.scalar() << " vs " << chain.scalar();
+        pa.ZeroGrad();
+        pb.ZeroGrad();
+        qa.ZeroGrad();
+        qb.ZeroGrad();
+        Var froot = autodiff::ScalarMul(fused, k);
+        Var croot = autodiff::ScalarMul(chain, k);
+        if (fused_tape.RequiresGrad(froot.id())) {
+          fused_tape.Backward(froot);
+          chain_tape.Backward(croot);
+        }
+        EXPECT_TRUE(SameBits(pa.grad, qa.grad))
+            << (scalar ? "scalar " : "active ") << sa.rows << "x" << sb.rows
+            << " step " << step;
+        EXPECT_TRUE(SameBits(pb.grad, qb.grad))
+            << (scalar ? "scalar " : "active ") << sa.rows << "x" << sb.rows
+            << " step " << step;
+        // Drift both copies identically so later solves warm-start.
+        for (int64_t i = 0; i < pa.value.size(); ++i) {
+          pa.value.data()[i] -= 0.01 * pa.grad.data()[i];
+          qa.value.data()[i] = pa.value.data()[i];
+        }
+        for (int64_t i = 0; i < pb.value.size(); ++i) {
+          pb.value.data()[i] -= 0.01 * pb.grad.data()[i];
+          qb.value.data()[i] = pb.value.data()[i];
+        }
+      }
+    }
+  }
+  linalg::simd::ForceScalarForTesting(false);
+}
+
+// --- duals-only pool against a pool of whole workspaces ---------------------
+
+// The pool before the split: one full SinkhornWorkspace (own kernel, plan
+// and duals) per (n1, n2) key, in the same LRU.
+class WholeWorkspacePool {
+ public:
+  SinkhornWorkspace* Acquire(int n1, int n2) {
+    const uint64_t key =
+        (static_cast<uint64_t>(static_cast<uint32_t>(n1)) << 32) |
+        static_cast<uint32_t>(n2);
+    return pool_.Acquire(key,
+                         [] { return std::make_unique<SinkhornWorkspace>(); });
+  }
+
+ private:
+  KeyedLruPool<SinkhornWorkspace> pool_{SinkhornWorkspacePool::kDefaultCapacity};
+};
+
+// More than 8 shapes, revisited in an order that produces hits, misses,
+// recycled records (the LRU hands an evicted shape's duals to a new key)
+// and adaptive warm starts: every solve must give the oracle's plan and
+// cost bits, and the same iteration count and warm/cold outcome.
+TEST(SinkhornWorkspacePoolTest, DualsOnlyPoolMatchesWholeWorkspacePool) {
+  Rng rng(31);
+  SinkhornConfig config;
+  SinkhornWorkspacePool pool;
+  WholeWorkspacePool oracle;
+  const int d = 5;
+  int warm = 0, adapted_or_recycled = 0;
+  for (int step = 0; step < 60; ++step) {
+    // 12 shapes; a skewed walk so some stay resident and others recycle.
+    const int s = step % 5 == 0 ? (step / 5) % 12 : (step * 7) % 4;
+    const int n1 = 9 + 3 * s;
+    const int n2 = 40 - 2 * s;
+    const Matrix cost =
+        CostOf(RandomMatrix(&rng, n1, d), RandomMatrix(&rng, n2, d, 0.3));
+    const SinkhornLease lease = pool.Acquire(n1, n2);
+    SinkhornWorkspace* whole = oracle.Acquire(n1, n2);
+    if (!lease.duals->has_warm_start(n1, n2) &&
+        lease.duals->warm_rows > 0) {
+      ++adapted_or_recycled;
+    }
+    auto got = SolveSinkhorn(cost, config, lease);
+    auto want = SolveSinkhorn(cost, config, whole);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_TRUE(SameBits(got.value().cost, want.value().cost)) << step;
+    EXPECT_TRUE(SameBits(lease.scratch->plan(), whole->plan())) << step;
+    EXPECT_EQ(got.value().iterations, want.value().iterations) << step;
+    EXPECT_EQ(got.value().warm_started, want.value().warm_started) << step;
+    warm += got.value().warm_started ? 1 : 0;
+  }
+  EXPECT_GT(pool.evictions(), 0);
+  EXPECT_GT(pool.warm_acquires(), 0);
+  EXPECT_GT(adapted_or_recycled, 0);
+  EXPECT_GT(warm, 0);
+  EXPECT_EQ(pool.size(), SinkhornWorkspacePool::kDefaultCapacity);
+}
+
+// The pool's n1 x n2 memory is one scratch however many shapes it serves:
+// after the largest shape, the penalty's cost buffer, the kernel and the
+// plan (plus K·v and Kᵀ·u) are allocated once, and no later shape adds a
+// buffer. A pool of whole workspaces would hold a kernel and a plan per
+// retained shape.
+TEST(SinkhornWorkspacePoolTest, OneKernelAndPlanForAllShapes) {
+  Rng rng(37);
+  SinkhornConfig config;
+  SinkhornWorkspacePool pool;
+  Tape tape;
+  const int d = 4;
+  int64_t after_largest = -1;
+  for (int step = 0; step < 40; ++step) {
+    const int n1 = step == 0 ? 48 : 10 + (step * 5) % 37;
+    const int n2 = step == 0 ? 48 : 47 - (step * 3) % 29;
+    autodiff::Parameter reps(RandomMatrix(&rng, n1, d));
+    const Matrix other = RandomMatrix(&rng, n2, d, 0.5);
+    tape.Reset();
+    Var pen = WassersteinPenalty(tape.Param(&reps), tape.ConstantView(&other),
+                                 config, pool.Acquire(n1, n2));
+    reps.ZeroGrad();
+    tape.Backward(pen);
+    if (step == 0) {
+      after_largest = pool.scratch().allocations();
+      // cost/dC, kernel, plan, K·v, Kᵀ·u: one each.
+      EXPECT_EQ(after_largest, 5);
+    }
+    EXPECT_EQ(pool.scratch().allocations(), after_largest) << step;
+  }
+  EXPECT_GT(pool.evictions(), 0);
 }
 
 }  // namespace
