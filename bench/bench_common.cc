@@ -27,23 +27,31 @@ const char* ScaleName(Scale scale) {
 
 std::vector<MethodRow> RunStrategyRows(
     const std::vector<data::DataSplit>& splits,
-    const causal::StrategyConfig& config) {
+    const core::StrategyConfig& config) {
   CERL_CHECK_EQ(splits.size(), 2u);
   std::vector<MethodRow> rows;
-  for (causal::Strategy s :
-       {causal::Strategy::kA, causal::Strategy::kB, causal::Strategy::kC}) {
-    causal::StrategyRunResult run = RunCfrStrategy(s, splits, config);
+  for (core::Strategy s :
+       {core::Strategy::kA, core::Strategy::kB, core::Strategy::kC}) {
+    core::StrategyRunResult run = RunCfrStrategy(s, splits, config);
     MethodRow row;
-    row.name = causal::StrategyName(s);
+    row.name = core::StrategyName(s);
     row.previous = run.final_stage().per_domain[0];
     row.current = run.final_stage().per_domain[1];
     // Resource profile (paper Table I "Performance Summary"): A and B keep a
     // bounded footprint; C must retain all previous raw data.
-    row.needs_previous_raw_data = (s == causal::Strategy::kC);
-    row.within_memory_budget = (s != causal::Strategy::kC);
+    row.needs_previous_raw_data = (s == core::Strategy::kC);
+    row.within_memory_budget = (s != core::Strategy::kC);
     rows.push_back(row);
   }
   return rows;
+}
+
+core::CerlConfig NullControlConfig(const core::CerlConfig& base) {
+  core::CerlConfig config = base;
+  config.beta = 0.0;
+  config.delta = 0.0;
+  config.use_transform = false;
+  return config;
 }
 
 MethodRow RunCerlRow(const std::vector<data::DataSplit>& splits,

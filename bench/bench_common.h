@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "causal/strategies.h"
 #include "core/cerl_trainer.h"
+#include "core/strategies.h"
 #include "util/csv.h"
 #include "util/flags.h"
 
@@ -39,7 +39,12 @@ struct PaperRow {
 /// Runs CFR-A/B/C over the stream and returns their final-stage rows.
 std::vector<MethodRow> RunStrategyRows(
     const std::vector<data::DataSplit>& splits,
-    const causal::StrategyConfig& config);
+    const core::StrategyConfig& config);
+
+/// The null control: `base` with every CERL term off (beta = delta = 0, no
+/// memory) at the continual learning rate. It shares CERL's stage-1 model
+/// and stage seeds, so per-seed differences against CERL are paired.
+core::CerlConfig NullControlConfig(const core::CerlConfig& base);
 
 /// Runs CERL over the stream and returns its row.
 MethodRow RunCerlRow(const std::vector<data::DataSplit>& splits,

@@ -4,7 +4,9 @@
 // CERL under several memory budgets and for the ideal strategy (retrain
 // from scratch on all raw data — CFR-C). Also runs the in-text cosine-
 // normalization ablation at the middle memory budget (paper: sqrt(PEHE)
-// 1.80 -> 1.92, eps_ATE 0.55 -> 0.61 at M=5000).
+// 1.80 -> 1.92, eps_ATE 0.55 -> 0.61 at M=5000), and the null control:
+// CERL with every term off (beta = delta = 0, no memory), which shares
+// each CERL series' stage-1 model and stage seeds.
 //
 // Paper memory budgets: M in {1000, 5000, 10000} of 10000 units/domain;
 // the ratios (0.1 / 0.5 / 1.0 of one domain) are kept across scales.
@@ -32,7 +34,7 @@ std::vector<SeriesPoint> RunCerlSeries(
   std::vector<SeriesPoint> series;
   for (int d = 0; d < static_cast<int>(splits.size()); ++d) {
     trainer.ObserveDomain(splits[d]);
-    causal::StageEval eval = causal::EvaluateStage(
+    core::StageEval eval = core::EvaluateStage(
         d, splits,
         [&trainer](const linalg::Matrix& x) { return trainer.PredictIte(x); });
     series.push_back({d + 1, eval.pooled.pehe, eval.pooled.ate_error});
@@ -67,13 +69,13 @@ int Run(const Flags& flags) {
   Rng split_rng(seed + 31);
   auto splits = data::SplitStream(stream.domains, &split_rng);
 
-  causal::StrategyConfig strat;
+  core::StrategyConfig strat;
   strat.net = SyntheticNetConfig(scale);
   strat.train = BenchTrainConfig(scale, seed + 41);
 
   // Ideal: retrain on all raw data after each domain (CFR-C).
-  causal::StrategyRunResult ideal =
-      RunCfrStrategy(causal::Strategy::kC, splits, strat);
+  core::StrategyRunResult ideal =
+      RunCfrStrategy(core::Strategy::kC, splits, strat);
 
   core::CerlConfig base;
   base.net = strat.net;
@@ -90,6 +92,12 @@ int Run(const Flags& flags) {
                   CsvWriter::Cell(p.ate)});
     }
   }
+  const std::vector<SeriesPoint> null_series =
+      RunCerlSeries(splits, NullControlConfig(base));
+  for (const auto& p : null_series) {
+    csv.AddRow({"null", std::to_string(p.stage), CsvWriter::Cell(p.pehe),
+                CsvWriter::Cell(p.ate)});
+  }
   for (const auto& stage : ideal.stages) {
     csv.AddRow({"ideal", std::to_string(stage.stage + 1),
                 CsvWriter::Cell(stage.pooled.pehe),
@@ -105,12 +113,14 @@ int Run(const Flags& flags) {
     for (const auto& [label, budget] : budgets) {
       std::printf(" %10s", label.c_str());
     }
-    std::printf(" %10s\n", "ideal");
+    std::printf(" %10s %10s\n", "null", "ideal");
     for (int d = 0; d < 5; ++d) {
       std::printf("%-10d", d + 1);
       for (const auto& series : cerl_series) {
         std::printf(" %10.3f", is_pehe ? series[d].pehe : series[d].ate);
       }
+      std::printf(" %10.3f", is_pehe ? null_series[d].pehe
+                                     : null_series[d].ate);
       std::printf(" %10.3f\n", is_pehe ? ideal.stages[d].pooled.pehe
                                        : ideal.stages[d].pooled.ate_error);
     }

@@ -25,7 +25,7 @@ SweepPoint RunPoint(const std::vector<data::DataSplit>& splits,
                     const core::CerlConfig& config, double value) {
   core::CerlTrainer trainer(config, splits[0].train.num_features());
   for (const auto& split : splits) trainer.ObserveDomain(split);
-  causal::StageEval eval = causal::EvaluateStage(
+  core::StageEval eval = core::EvaluateStage(
       static_cast<int>(splits.size()) - 1, splits,
       [&trainer](const linalg::Matrix& x) { return trainer.PredictIte(x); });
   return {value, eval.pooled.pehe, eval.pooled.ate_error};

@@ -85,7 +85,7 @@ int Run(const Flags& flags) {
       Rng split_rng(seed + 211 + rep);
       auto splits = data::SplitStream(bench.domains, &split_rng);
 
-      causal::StrategyConfig strat;
+      core::StrategyConfig strat;
       strat.net = TopicNetConfig(scale);
       strat.train = BenchTrainConfig(scale, seed + 13 + 31 * rep);
 

@@ -97,7 +97,7 @@ int Run(const Flags& flags) {
       Rng split_rng(seed + 101 + rep);
       auto splits = data::SplitStream(bench.domains, &split_rng);
 
-      causal::StrategyConfig strat;
+      core::StrategyConfig strat;
       strat.net = TopicNetConfig(scale);
       strat.train = BenchTrainConfig(scale, seed + 7 + 31 * rep);
 

@@ -3,8 +3,12 @@
 // probit propensity) with two sequential domains. Rows: CFR-A/B/C, CERL,
 // and the three ablations the paper reports — CERL w/o FRT (no feature
 // representation transformation => no memory replay), w/o herding (random
-// memory subsampling), and w/o cosine normalization. Averaged over --reps
-// independent simulations (paper: 10).
+// memory subsampling), and w/o cosine normalization. Two extension rows
+// follow: CERL with a linear-MMD IPM, and the null control — CERL with
+// every term off (beta = delta = 0, no memory) at the continual learning
+// rate. Every continual row trains the same stage-1 model (CFR-A's) and
+// the same stage-2 seed, so per-seed differences between them are paired.
+// Averaged over --reps independent simulations (paper: 10).
 //
 // Usage: table2_synthetic [--scale=tiny|small|paper] [--seed=N] [--reps=K]
 //                         [--out=csv]
@@ -59,7 +63,7 @@ int Run(const Flags& flags) {
     Rng split_rng(seed + 1000 * rep + 5);
     auto splits = data::SplitStream(stream.domains, &split_rng);
 
-    causal::StrategyConfig strat;
+    core::StrategyConfig strat;
     strat.net = SyntheticNetConfig(scale);
     strat.train = BenchTrainConfig(scale, seed + 1000 * rep + 17);
 
@@ -97,6 +101,10 @@ int Run(const Flags& flags) {
       ablation.train.ipm = ot::IpmKind::kLinearMmd;
       rows.push_back(RunCerlRow(splits, ablation, "CERL (MMD)"));
     }
+    // Null control: warm-started fine-tuning at CERL's continual learning
+    // rate. It differs from CFR-B only in continual_lr_scale, and from CERL
+    // only in the terms.
+    rows.push_back(RunCerlRow(splits, NullControlConfig(base), "null control"));
     {
       // Non-neural reference: per-arm ridge regression (T-learner), trained
       // on the union of both domains (it has no continual mechanism).

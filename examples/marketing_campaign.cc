@@ -16,8 +16,8 @@
 // Run: ./build/examples/marketing_campaign
 #include <cstdio>
 
-#include "causal/strategies.h"
 #include "core/cerl_trainer.h"
+#include "core/strategies.h"
 #include "data/synthetic.h"
 
 int main() {
@@ -43,9 +43,9 @@ int main() {
   train.seed = 3;
 
   // Fine-tune and retrain baselines.
-  causal::StrategyConfig strat{net, train};
-  auto finetune = RunCfrStrategy(causal::Strategy::kB, splits, strat);
-  auto retrain = RunCfrStrategy(causal::Strategy::kC, splits, strat);
+  core::StrategyConfig strat{net, train};
+  auto finetune = RunCfrStrategy(core::Strategy::kB, splits, strat);
+  auto retrain = RunCfrStrategy(core::Strategy::kC, splits, strat);
 
   // CERL with a memory budget of 400 representation vectors.
   core::CerlConfig config;

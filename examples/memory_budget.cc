@@ -9,8 +9,8 @@
 // Run: ./build/examples/memory_budget
 #include <cstdio>
 
-#include "causal/strategies.h"
 #include "core/cerl_trainer.h"
+#include "core/strategies.h"
 #include "data/synthetic.h"
 
 int main() {
@@ -32,8 +32,8 @@ int main() {
   base.train.seed = 6;
 
   // Ideal reference that keeps all raw data.
-  causal::StrategyConfig strat{base.net, base.train};
-  auto ideal = RunCfrStrategy(causal::Strategy::kC, splits, strat);
+  core::StrategyConfig strat{base.net, base.train};
+  auto ideal = RunCfrStrategy(core::Strategy::kC, splits, strat);
   const double ideal_pehe = ideal.final_stage().pooled.pehe;
 
   std::printf("memory budget sweep (5 domains x %d units)\n",
@@ -50,7 +50,7 @@ int main() {
     }
     core::CerlTrainer cerl(config, data_config.num_features());
     for (const auto& split : splits) cerl.ObserveDomain(split);
-    causal::StageEval eval = causal::EvaluateStage(
+    core::StageEval eval = core::EvaluateStage(
         4, splits,
         [&cerl](const linalg::Matrix& x) { return cerl.PredictIte(x); });
     std::printf("%-12d %14.3f %20d\n", budget, eval.pooled.pehe, 0);

@@ -10,8 +10,8 @@
 // Run: ./build/examples/news_domain_shift
 #include <cstdio>
 
-#include "causal/strategies.h"
 #include "core/cerl_trainer.h"
+#include "core/strategies.h"
 #include "data/topic_benchmark.h"
 
 int main() {
@@ -39,8 +39,8 @@ int main() {
     Rng rng(10);
     auto splits = data::SplitStream(bench.domains, &rng);
 
-    causal::StrategyConfig strat{net, train};
-    auto run_a = RunCfrStrategy(causal::Strategy::kA, splits, strat);
+    core::StrategyConfig strat{net, train};
+    auto run_a = RunCfrStrategy(core::Strategy::kA, splits, strat);
 
     core::CerlConfig cerl_config;
     cerl_config.net = net;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "autodiff/composite.h"
 #include "autodiff/ops.h"
-#include "ot/workspace_pool.h"
 #include "util/logging.h"
 
 namespace cerl::causal {
@@ -90,98 +88,6 @@ train::LoopOptions MakeLoopOptions(const TrainConfig& config,
   options.verbose = config.verbose;
   options.log_label = log_label;
   return options;
-}
-
-CfrModel::CfrModel(const NetConfig& net_config, const TrainConfig& train_config,
-                   int input_dim)
-    : net_config_(net_config),
-      train_config_(train_config),
-      rng_(train_config.seed),
-      net_(&rng_, net_config, input_dim) {}
-
-TrainStats CfrModel::Train(const data::CausalDataset& train,
-                           const data::CausalDataset& valid) {
-  return RunTraining(train, valid, /*refit_scalers=*/true);
-}
-
-TrainStats CfrModel::FineTune(const data::CausalDataset& train,
-                              const data::CausalDataset& valid) {
-  return RunTraining(train, valid, /*refit_scalers=*/false);
-}
-
-double CfrModel::ValidFactualLoss(RepOutcomeNet* net,
-                                  const linalg::Matrix& x_scaled,
-                                  const std::vector<int>& t,
-                                  const linalg::Vector& y_scaled) {
-  autodiff::TapeLease tape;
-  Var x = tape->ConstantView(&x_scaled);
-  FactualForward fwd = BuildFactualLoss(net, tape.get(), x, t, y_scaled);
-  return fwd.loss.scalar();
-}
-
-TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
-                                 const data::CausalDataset& valid,
-                                 bool refit_scalers) {
-  using namespace autodiff;  // NOLINT
-  train.CheckConsistent();
-  valid.CheckConsistent();
-  if (refit_scalers) {
-    net_.x_scaler().Fit(train.x);
-    net_.y_scaler().Fit(train.y);
-  }
-  const linalg::Matrix x_train = net_.x_scaler().Apply(train.x);
-  const linalg::Vector y_train = net_.y_scaler().Transform(train.y);
-  const linalg::Matrix x_valid = net_.x_scaler().Apply(valid.x);
-  const linalg::Vector y_valid = net_.y_scaler().Transform(valid.y);
-
-  // Eq. 5 per-batch objective: factual MSE + alpha * IPM + lambda *
-  // elastic net. The loop mechanics live in train::TrainLoop, which also
-  // assembles the covariate rows; the loss only gathers the per-unit
-  // treatment/outcome scalars into step-reused buffers. The
-  // factual-split scratch and the Sinkhorn pool live here, next to the
-  // loop's retained tape, so steady-state steps allocate nothing in the
-  // loss builder; the pool keys the OT duals by the (n_treated, n_control)
-  // split so they warm-start from the previous batch with the same split
-  // even when splits interleave.
-  std::vector<int> batch_t;
-  linalg::Vector batch_y;
-  FactualScratch factual_scratch;
-  ot::SinkhornWorkspacePool sinkhorn_pool;
-  auto batch_loss = [&](Tape* tape, train::IndexSpan idx,
-                        const std::vector<linalg::Matrix>& gathered) -> Var {
-    GatherTreatOutcome(train.t, y_train, idx, &batch_t, &batch_y);
-    Var x = tape->ConstantView(&gathered[0]);
-    FactualForward fwd =
-        BuildFactualLoss(&net_, tape, x, batch_t, batch_y, &factual_scratch);
-    Var loss = fwd.loss;
-    if (train_config_.alpha > 0.0 && fwd.n_treated > 0 && fwd.n_control > 0) {
-      Var ipm =
-          ot::IpmPenalty(train_config_.ipm, fwd.rep_treated, fwd.rep_control,
-                         train_config_.sinkhorn,
-                         sinkhorn_pool.Acquire(fwd.n_treated, fwd.n_control));
-      loss = Add(loss, ScalarMul(ipm, train_config_.alpha));
-    }
-    if (train_config_.lambda > 0.0) {
-      Var w1 = tape->Param(&net_.FirstLayerWeight());
-      loss = Add(loss, ScalarMul(ElasticNetPenalty(w1), train_config_.lambda));
-    }
-    return loss;
-  };
-  auto valid_loss = [&]() {
-    return ValidFactualLoss(&net_, x_valid, valid.t, y_valid);
-  };
-
-  train::TrainLoop loop(MakeLoopOptions(train_config_, "cfr"),
-                        net_.Parameters(), &rng_);
-  return loop.Run(train.num_units(), {&x_train}, batch_loss, valid_loss);
-}
-
-linalg::Vector CfrModel::PredictIte(const linalg::Matrix& x_raw) {
-  return net_.PredictIte(x_raw);
-}
-
-CausalMetrics CfrModel::Evaluate(const data::CausalDataset& test) {
-  return EvaluateOnDataset(test, PredictIte(test.x));
 }
 
 }  // namespace cerl::causal

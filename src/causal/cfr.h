@@ -5,12 +5,17 @@
 // with L_Y the factual-outcome MSE over the two heads, Wass the IPM between
 // treated/control representation distributions, and the elastic net on the
 // first (feature-selection) layer.
+//
+// This file holds the building blocks of that objective: the optimization
+// config, the two-headed factual loss and the batch gathers. Eq. 5 is Eq. 9
+// with no previous model and an empty memory, so core::CerlTrainer is the
+// one place that trains it: CERL's baseline stage, and CFR-A/B/C as trainer
+// configurations (core/strategies.h).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "causal/metrics.h"
 #include "causal/rep_outcome_net.h"
 #include "data/dataset.h"
 #include "ot/ipm.h"
@@ -18,7 +23,7 @@
 
 namespace cerl::causal {
 
-/// Optimization hyperparameters shared by CFR and the CERL stages.
+/// Optimization hyperparameters of a training stage.
 struct TrainConfig {
   int epochs = 120;
   int batch_size = 128;
@@ -39,7 +44,7 @@ using TrainStats = train::TrainStats;
 train::LoopOptions MakeLoopOptions(const TrainConfig& config,
                                    const std::string& log_label);
 
-/// Factual-loss forward pass shared by CFR and CERL stages.
+/// Factual-loss forward pass of every CERL stage (Eq. 4 / Eq. 8).
 struct FactualForward {
   Var loss;         ///< scalar: (sse_treated + sse_control) / n
   Var rep;          ///< representations of the whole batch
@@ -76,45 +81,5 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
 void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
                         train::IndexSpan idx, std::vector<int>* t_out,
                         linalg::Vector* y_out);
-
-/// CFR model: RepOutcomeNet + Eq. 5 training.
-class CfrModel {
- public:
-  CfrModel(const NetConfig& net_config, const TrainConfig& train_config,
-           int input_dim);
-
-  /// Fits scalers on `train` and optimizes Eq. 5 with early stopping on the
-  /// validation factual loss.
-  TrainStats Train(const data::CausalDataset& train,
-                   const data::CausalDataset& valid);
-
-  /// Continues optimization on new data without refitting scalers
-  /// (adaptation strategy B).
-  TrainStats FineTune(const data::CausalDataset& train,
-                      const data::CausalDataset& valid);
-
-  /// Estimated ITE on raw covariates, original outcome units.
-  linalg::Vector PredictIte(const linalg::Matrix& x_raw);
-
-  /// PEHE / ATE-error against the dataset's ground truth.
-  CausalMetrics Evaluate(const data::CausalDataset& test);
-
-  RepOutcomeNet& net() { return net_; }
-  const TrainConfig& train_config() const { return train_config_; }
-
- private:
-  TrainStats RunTraining(const data::CausalDataset& train,
-                         const data::CausalDataset& valid,
-                         bool refit_scalers);
-  static double ValidFactualLoss(RepOutcomeNet* net,
-                                 const linalg::Matrix& x_scaled,
-                                 const std::vector<int>& t,
-                                 const linalg::Vector& y_scaled);
-
-  NetConfig net_config_;
-  TrainConfig train_config_;
-  Rng rng_;
-  RepOutcomeNet net_;
-};
 
 }  // namespace cerl::causal

@@ -70,13 +70,6 @@ linalg::Vector RepOutcomeNet::PredictOutcome(const linalg::Matrix& x_raw,
   return y_scaler_.InverseTransform(out.value().ColCopy(0));
 }
 
-linalg::Vector RepOutcomeNet::PredictOutcomeFromRep(const linalg::Matrix& rep,
-                                                    int treatment) {
-  autodiff::TapeLease tape;
-  Var out = Head(tape.get(), tape->ConstantView(&rep), treatment);
-  return y_scaler_.InverseTransform(out.value().ColCopy(0));
-}
-
 linalg::Vector RepOutcomeNet::PredictIte(const linalg::Matrix& x_raw) {
   autodiff::TapeLease tape;
   Var x = tape->Constant(x_scaler_.Apply(x_raw));

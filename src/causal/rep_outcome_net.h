@@ -67,11 +67,6 @@ class RepOutcomeNet {
   /// No-grad head evaluation on raw covariates, in original outcome units.
   linalg::Vector PredictOutcome(const linalg::Matrix& x_raw, int treatment);
 
-  /// No-grad head evaluation directly on representations (memory replay),
-  /// in original outcome units.
-  linalg::Vector PredictOutcomeFromRep(const linalg::Matrix& rep,
-                                       int treatment);
-
   /// Estimated ITE per unit: h(g(x), 1) - h(g(x), 0), original units.
   linalg::Vector PredictIte(const linalg::Matrix& x_raw);
 

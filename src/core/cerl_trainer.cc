@@ -73,21 +73,20 @@ CerlTrainer::CerlTrainer(const CerlConfig& config, int input_dim)
     : config_(config), input_dim_(input_dim), rng_(config.train.seed ^ 0xCE51) {}
 
 causal::RepOutcomeNet* CerlTrainer::current_net() {
-  CERL_CHECK(model_ != nullptr);
-  return &model_->net();
+  CERL_CHECK(net_ != nullptr);
+  return net_.get();
 }
 
 void CerlTrainer::Reset() {
-  model_.reset();
-  old_model_.reset();
+  net_.reset();
   memory_.Clear();
   stages_seen_ = 0;
   rng_ = Rng(config_.train.seed ^ 0xCE51);
 }
 
 Status CerlTrainer::CheckNumericalHealth() {
-  if (model_ == nullptr) return Status::Ok();
-  for (const autodiff::Parameter* p : model_->net().Parameters()) {
+  if (net_ == nullptr) return Status::Ok();
+  for (const autodiff::Parameter* p : net_->Parameters()) {
     const linalg::Matrix& value = p->value;
     for (int64_t i = 0; i < value.size(); ++i) {
       if (!std::isfinite(value.data()[i])) {
@@ -130,60 +129,50 @@ TrainStats CerlTrainer::ObserveDomain(const data::DataSplit& split) {
 }
 
 linalg::Vector CerlTrainer::PredictIte(const linalg::Matrix& x_raw) {
-  CERL_CHECK(model_ != nullptr);
-  return model_->PredictIte(x_raw);
+  CERL_CHECK(net_ != nullptr);
+  return net_->PredictIte(x_raw);
 }
 
 causal::CausalMetrics CerlTrainer::Evaluate(const data::CausalDataset& test) {
   return causal::EvaluateOnDataset(test, PredictIte(test.x));
 }
 
-void CerlTrainer::SeedMemoryFromCurrent(const data::CausalDataset& train) {
-  if (!config_.use_transform) return;  // w/o FRT: no memory is kept at all.
-  const linalg::Matrix reps = model_->net().Representations(train.x);
-  memory_.Append(reps, train.y, train.t);
-  memory_.Reduce(config_.memory_capacity, config_.use_herding, &rng_);
-}
-
 std::unique_ptr<CerlTrainer::StageContext> CerlTrainer::BeginStage(
     const data::DataSplit& split) {
-  auto ctx = std::make_unique<StageContext>();
-  ctx->split = &split;
-  ++stages_seen_;
-  ctx->stage = stages_seen_;
-
-  if (stages_seen_ == 1) {
-    // Baseline stage (Eq. 5): plain CFR; standardization happens inside
-    // CfrModel::Train (scalers fitted on the first domain anchor the
-    // representation space for every later stage).
-    ctx->baseline = true;
-    ctx->stage_train = config_.train;
-    model_ = std::make_unique<causal::CfrModel>(config_.net, ctx->stage_train,
-                                                input_dim_);
-    return ctx;
-  }
-
   const data::CausalDataset& train = split.train;
   const data::CausalDataset& valid = split.valid;
   train.CheckConsistent();
 
-  // The previous model is frozen for distillation; the new model becomes
-  // the current learner.
-  old_model_ = std::move(model_);
+  auto ctx = std::make_unique<StageContext>();
+  ctx->split = &split;
+  ++stages_seen_;
+  ctx->stage = stages_seen_;
+  ctx->baseline = stages_seen_ == 1;
   causal::TrainConfig stage_train = config_.train;
-  stage_train.seed = config_.train.seed + 7919 * stages_seen_;
-  stage_train.learning_rate *= config_.continual_lr_scale;
-  model_ = std::make_unique<causal::CfrModel>(config_.net, stage_train,
-                                              input_dim_);
-  causal::RepOutcomeNet& net = model_->net();
-  causal::RepOutcomeNet& old_net = old_model_->net();
-  if (config_.init_from_previous) {
+  if (!ctx->baseline) {
+    stage_train.seed = config_.train.seed + 7919 * stages_seen_;
+    stage_train.learning_rate *= config_.continual_lr_scale;
+  }
+
+  // The previous model (none at the baseline stage) is frozen for
+  // distillation; the new model becomes the current learner.
+  const std::unique_ptr<causal::RepOutcomeNet> old_net = std::move(net_);
+  Rng init_rng(stage_train.seed);
+  net_ = std::make_unique<causal::RepOutcomeNet>(&init_rng, config_.net,
+                                                 input_dim_);
+  causal::RepOutcomeNet& net = *net_;
+  if (ctx->baseline) {
+    // Scalers fitted on the first domain anchor the representation space
+    // for every later stage.
+    net.x_scaler().Fit(train.x);
+    net.y_scaler().Fit(train.y);
+  } else if (config_.init_from_previous) {
     // Warm start copies weights AND scalers: the representation space must
     // stay consistent across stages — the memory holds representations in
     // the old space and the distillation target is the old model, both of
     // which assume the same input normalization. Refitting scalers each
     // stage would silently re-map previous-domain units.
-    net.CopyParametersFrom(old_net);
+    net.CopyParametersFrom(*old_net);
   } else {
     // Cold start: scalers come from the new domain (plus memory outcomes
     // for y, since the heads fit both — Eq. 8).
@@ -200,16 +189,21 @@ std::unique_ptr<CerlTrainer::StageContext> CerlTrainer::BeginStage(
   ctx->y_train = net.y_scaler().Transform(train.y);
   ctx->x_valid = net.x_scaler().Apply(valid.x);
   ctx->y_valid = net.y_scaler().Transform(valid.y);
+  ctx->params = net.Parameters();
+  if (ctx->baseline) {
+    // The baseline loop continues the net-init stream.
+    ctx->loop_rng = init_rng;
+    return ctx;
+  }
 
   // Old-model representations of the new data, computed once (frozen).
-  ctx->old_reps_train = old_net.Representations(train.x);
+  ctx->old_reps_train = old_net->Representations(train.x);
 
   // phi and the joint parameter set (Algorithm 1: OPTIMIZE over w_d,
   // theta_d, phi).
   Rng phi_rng(stage_train.seed ^ 0xF17A);
   ctx->phi = std::make_unique<TransformNet>(&phi_rng, net.rep_dim(),
                                             config_.transform_hidden);
-  ctx->params = net.Parameters();
   if (config_.use_transform || config_.delta > 0.0) {
     for (autodiff::Parameter* p : ctx->phi->Parameters()) {
       ctx->params.push_back(p);
@@ -224,7 +218,7 @@ std::unique_ptr<CerlTrainer::StageContext> CerlTrainer::BeginStage(
 
 double CerlTrainer::StageValidLoss(const StageContext& ctx) {
   using namespace autodiff;  // NOLINT
-  causal::RepOutcomeNet* net = &model_->net();
+  causal::RepOutcomeNet* net = net_.get();
   TransformNet* phi = ctx.phi.get();
   // Retention-aware early stopping: new-domain factual loss plus the
   // replay loss over the whole memory bank. The distillation term must NOT
@@ -273,33 +267,27 @@ double CerlTrainer::StageValidLoss(const StageContext& ctx) {
 }
 
 TrainStats CerlTrainer::TrainStage(StageContext* ctx) {
-  CERL_CHECK(ctx != nullptr);
-  if (ctx->baseline) {
-    ctx->stats = model_->Train(ctx->split->train, ctx->split->valid);
-    return ctx->stats;
-  }
-  ctx->stats = TrainContinualStage(ctx);
-  return ctx->stats;
-}
-
-TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   using namespace autodiff;  // NOLINT
+  CERL_CHECK(ctx != nullptr);
   const data::CausalDataset& train = ctx->split->train;
   const causal::TrainConfig& stage_train = ctx->stage_train;
-  causal::RepOutcomeNet& net = model_->net();
-  TransformNet& phi = *ctx->phi;
+  causal::RepOutcomeNet& net = *net_;
+  TransformNet* phi = ctx->phi.get();
+  const bool baseline = ctx->baseline;
   const bool use_memory = ctx->use_memory;
   const int mem_batch = ctx->mem_batch;
   Rng& loop_rng = ctx->loop_rng;
 
   auto valid_loss_fn = [this, ctx]() { return StageValidLoss(*ctx); };
-  // Eq. 9 per-batch objective; the epoch/minibatch/early-stopping mechanics
-  // live in train::TrainLoop, which assembles the row gathers of x_train
-  // and old_reps_train. Scalar/memory gathers and the factual/memory split
-  // land in step-reused scratch, and the Sinkhorn pool (owned here, next
-  // to the training loop: one solve scratch, duals keyed by the global
-  // treated/control split) warm-starts the balancing duals from the
-  // previous step with the same split.
+  // Eq. 9 per-batch objective (Eq. 5 at the baseline stage, which has no
+  // old model to distill and an empty memory); the epoch/minibatch/
+  // early-stopping mechanics live in train::TrainLoop, which assembles the
+  // row gathers of x_train and (continual stages) old_reps_train.
+  // Scalar/memory gathers and the factual/memory split land in step-reused
+  // scratch, and the Sinkhorn pool (owned here, next to the training loop:
+  // one solve scratch, duals keyed by the global treated/control split)
+  // warm-starts the balancing duals from the previous step with the same
+  // split.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   linalg::Matrix mem_rep_gathered;
@@ -319,21 +307,23 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
         &net, tape, x, batch_t, batch_y, &factual_scratch);
     Var loss = fwd.loss;
 
-    // Feature representation distillation, Eq. 6.
-    Var old_rep = tape->ConstantView(&gathered[1]);
-    if (config_.beta > 0.0) {
-      loss = Add(loss, ScalarMul(MeanCosineDistance(fwd.rep, old_rep),
-                                 config_.beta));
-    }
-    // Feature representation transformation, Eq. 7. The new-model
-    // representation enters as a detached target: Eq. 7 trains phi to map
-    // the old space onto the new one, it must not drag g_{w_d} toward
-    // phi's (initially arbitrary) output.
-    if (config_.delta > 0.0) {
-      Var phi_out = phi.Forward(tape, old_rep);
-      Var rep_target = tape->Constant(fwd.rep.value());
-      loss = Add(loss, ScalarMul(MeanCosineDistance(phi_out, rep_target),
-                                 config_.delta));
+    if (!baseline) {
+      // Feature representation distillation, Eq. 6.
+      Var old_rep = tape->ConstantView(&gathered[1]);
+      if (config_.beta > 0.0) {
+        loss = Add(loss, ScalarMul(MeanCosineDistance(fwd.rep, old_rep),
+                                   config_.beta));
+      }
+      // Feature representation transformation, Eq. 7. The new-model
+      // representation enters as a detached target: Eq. 7 trains phi to
+      // map the old space onto the new one, it must not drag g_{w_d}
+      // toward phi's (initially arbitrary) output.
+      if (config_.delta > 0.0) {
+        Var phi_out = phi->Forward(tape, old_rep);
+        Var rep_target = tape->Constant(fwd.rep.value());
+        loss = Add(loss, ScalarMul(MeanCosineDistance(phi_out, rep_target),
+                                   config_.delta));
+      }
     }
 
     Var rep_treated_global = fwd.rep_treated;
@@ -349,7 +339,7 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
       memory_.reps().GatherRowsInto(mem_idx.data(), mem_batch,
                                     &mem_rep_gathered);
       Var mem_rep = tape->ConstantView(&mem_rep_gathered);
-      Var mem_transformed = phi.Forward(tape, mem_rep);
+      Var mem_transformed = phi->Forward(tape, mem_rep);
 
       std::vector<int>& mem_treated_idx = mem_scratch.treated_idx;
       std::vector<int>& mem_control_idx = mem_scratch.control_idx;
@@ -412,41 +402,40 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
       Var w1 = tape->Param(&net.FirstLayerWeight());
       loss = Add(loss, ScalarMul(ElasticNetPenalty(w1), stage_train.lambda));
     }
-    // Fault-injection hook: a NaN summand poisons the loss and, through
-    // Backward, every gradient — the same signature as a genuine numerical
-    // blow-up. TrainLoop's finite-loss guard converts it into a typed
-    // NumericalError before the optimizer steps.
-    if (CERL_FAULT_POINT(FaultPoint::kNanGradient)) {
+    // Fault-injection hook (continual stages): a NaN summand poisons the
+    // loss and, through Backward, every gradient — the same signature as a
+    // genuine numerical blow-up. TrainLoop's finite-loss guard converts it
+    // into a typed NumericalError before the optimizer steps.
+    if (!baseline && CERL_FAULT_POINT(FaultPoint::kNanGradient)) {
       loss = Add(loss, tape->Constant(linalg::Matrix(
                            1, 1, std::numeric_limits<double>::quiet_NaN())));
     }
     return loss;
   };
 
+  std::vector<const linalg::Matrix*> gather_sources = {&ctx->x_train};
+  if (!baseline) gather_sources.push_back(&ctx->old_reps_train);
   train::TrainLoop loop(
       causal::MakeLoopOptions(stage_train,
                               "cerl stage " + std::to_string(ctx->stage)),
       ctx->params, &loop_rng);
-  return loop.Run(train.num_units(), {&ctx->x_train, &ctx->old_reps_train},
-                  batch_loss, valid_loss_fn);
+  ctx->stats =
+      loop.Run(train.num_units(), gather_sources, batch_loss, valid_loss_fn);
+  return ctx->stats;
 }
 
 void CerlTrainer::MigrateStage(StageContext* ctx) {
   CERL_CHECK(ctx != nullptr);
-  if (ctx->baseline) {
-    SeedMemoryFromCurrent(ctx->split->train);
-    CERL_LOG(Debug) << "CERL baseline stage done: memory " << memory_.size()
-                    << " units, best valid loss "
-                    << ctx->stats.best_valid_loss;
-    return;
-  }
-  // Memory migration: M_d = Herding({R_d, Y_d, T_d} ∪ phi(M_{d-1})).
+  // Memory migration: M_d = Herding({R_d, Y_d, T_d} ∪ phi(M_{d-1})); the
+  // baseline stage has no M_0 to map. w/o FRT keeps no memory at all.
   if (config_.use_transform) {
-    TransformNet* phi = ctx->phi.get();
-    memory_.Transform(
-        [phi](const linalg::Matrix& reps) { return phi->Apply(reps); });
+    if (!ctx->baseline) {
+      TransformNet* phi = ctx->phi.get();
+      memory_.Transform(
+          [phi](const linalg::Matrix& reps) { return phi->Apply(reps); });
+    }
     const linalg::Matrix new_reps =
-        model_->net().Representations(ctx->split->train.x);
+        net_->Representations(ctx->split->train.x);
     memory_.Append(new_reps, ctx->split->train.y, ctx->split->train.t);
     memory_.Reduce(config_.memory_capacity, config_.use_herding, &rng_);
   }

@@ -2,7 +2,13 @@
 // contribution, Algorithm 1).
 //
 // Stage 1 (baseline, Eq. 5): train a CFR model on the first domain, then
-// store herding-selected representations in the memory bank.
+// store herding-selected representations in the memory bank. Eq. 5 is Eq. 9
+// with no previous model and an empty memory, so the baseline runs the same
+// stage code as the continual stages (scalers fitted on the domain, the
+// same loss builder, validation criterion and training loop) with the
+// distillation/transformation terms absent. The CFR strategies A/B/C are
+// trainer configurations of this class (core/strategies.h); nothing else in
+// the repo trains an estimator.
 //
 // Stage d >= 2 (continual, Eq. 9): train a new model g_{w_d}, h_{theta_d}
 // and the transformation phi_{d-1->d} jointly on
@@ -29,6 +35,8 @@
 #include <vector>
 
 #include "causal/cfr.h"
+#include "causal/metrics.h"
+#include "causal/rep_outcome_net.h"
 #include "core/memory_bank.h"
 #include "core/transform_net.h"
 
@@ -88,15 +96,17 @@ class CerlTrainer {
 
   /// Ingest/standardize: advances the stage counter, builds (and
   /// warm-starts) the stage model, standardizes the domain with the stage's
-  /// scalers, freezes the old model's representations of the new data, and
+  /// scalers (fitted on the domain at stage 1), and — continual stages
+  /// only — freezes the old model's representations of the new data and
   /// constructs phi. Must be followed by TrainStage then MigrateStage.
   std::unique_ptr<StageContext> BeginStage(const data::DataSplit& split);
 
-  /// Train + validate: optimizes the stage objective with the shared
-  /// engine loop.
+  /// Train + validate: optimizes the stage objective (Eq. 9; Eq. 5 at
+  /// stage 1) with the shared engine loop.
   causal::TrainStats TrainStage(StageContext* ctx);
 
-  /// Herd/migrate: M_d = Herding({R_d, Y_d, T_d} ∪ phi(M_{d-1})).
+  /// Herd/migrate: M_d = Herding({R_d, Y_d, T_d} ∪ phi(M_{d-1})); stage 1
+  /// seeds M_1 = Herding({R_1, Y_1, T_1}).
   void MigrateStage(StageContext* ctx);
 
   /// Consumes the next domain (Algorithm 1 body): BeginStage + TrainStage +
@@ -152,15 +162,12 @@ class CerlTrainer {
   Status CheckNumericalHealth();
 
  private:
-  causal::TrainStats TrainContinualStage(StageContext* ctx);
-  void SeedMemoryFromCurrent(const data::CausalDataset& train);
   double StageValidLoss(const StageContext& ctx);
 
   CerlConfig config_;
   int input_dim_;
   Rng rng_;
-  std::unique_ptr<causal::CfrModel> model_;      ///< current stage model
-  std::unique_ptr<causal::CfrModel> old_model_;  ///< g_{w_{d-1}} (frozen)
+  std::unique_ptr<causal::RepOutcomeNet> net_;  ///< current stage model
   MemoryBank memory_;
   int stages_seen_ = 0;
 };
@@ -171,21 +178,25 @@ class CerlTrainer {
 struct CerlTrainer::StageContext {
   const data::DataSplit* split = nullptr;
   int stage = 0;          ///< 1-based stage index (== stages_seen at begin)
-  bool baseline = false;  ///< stage 1 trains the plain CFR objective
+  /// Stage 1: no previous model, so no distillation/transformation terms
+  /// (the plain CFR objective, Eq. 5).
+  bool baseline = false;
   causal::TrainConfig stage_train;
 
-  // Standardized stage inputs (continual stages; the baseline stage fits
-  // scalers inside CfrModel::Train).
+  // Standardized stage inputs.
   linalg::Matrix x_train, x_valid;
   linalg::Vector y_train, y_valid;
   /// Old-model representations of the new data, computed once (frozen
-  /// distillation target, Eq. 6).
+  /// distillation target, Eq. 6); empty at the baseline stage.
   linalg::Matrix old_reps_train;
 
   std::unique_ptr<TransformNet> phi;  ///< phi_{d-1->d} (continual stages)
   /// Joint trainable set (net ∪ phi), in snapshot order.
   std::vector<autodiff::Parameter*> params;
-  Rng loop_rng{0};  ///< shuffles + memory-replay sampling for this stage
+  /// Shuffles + memory-replay sampling for this stage. The baseline stage
+  /// continues the net-init stream; a continual stage d draws from
+  /// Rng((seed + 7919 d) ^ 0xB007).
+  Rng loop_rng{0};
   bool use_memory = false;
   int mem_batch = 0;
 

@@ -48,7 +48,7 @@ constexpr uint32_t kMaxMemoryRows = 1u << 27;
 }  // namespace
 
 Status CerlTrainer::SerializeCheckpoint(std::string* out) {
-  if (model_ == nullptr) {
+  if (net_ == nullptr) {
     return Status::FailedPrecondition(
         "nothing to checkpoint: no domain observed yet");
   }
@@ -65,7 +65,7 @@ Status CerlTrainer::SerializeCheckpoint(std::string* out) {
   WritePod(out, static_cast<uint8_t>(rng_state.has_cached_normal ? 1 : 0));
   WritePod(out, rng_state.cached_normal);
 
-  causal::RepOutcomeNet& net = model_->net();
+  causal::RepOutcomeNet& net = *net_;
   WriteF64Vector(out, net.x_scaler().mean());
   WriteF64Vector(out, net.x_scaler().std());
   WritePod(out, net.y_scaler().mean());
@@ -161,12 +161,12 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
   // Fresh model with this trainer's architecture; the parameter block must
   // match it name-for-name and shape-for-shape (that is the architecture
   // compatibility check).
-  auto model = std::make_unique<causal::CfrModel>(config_.net, config_.train,
-                                                  input_dim_);
+  Rng init_rng(config_.train.seed);
+  auto net = std::make_unique<causal::RepOutcomeNet>(&init_rng, config_.net,
+                                                     input_dim_);
   {
     const auto before = in.tellg();
-    CERL_RETURN_IF_ERROR(
-        nn::LoadParametersFromStream(in, model->net().Parameters()));
+    CERL_RETURN_IF_ERROR(nn::LoadParametersFromStream(in, net->Parameters()));
     const auto after = in.tellg();
     if (before < 0 || after < before) {
       return Status::IoError("parameter block position tracking failed");
@@ -186,11 +186,10 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
       return Status::IoError("implausible memory row count " +
                              std::to_string(mem_rows));
     }
-    if (static_cast<int>(mem_cols) != model->net().rep_dim()) {
+    if (static_cast<int>(mem_cols) != net->rep_dim()) {
       return Status::IoError(
           "memory rep dim " + std::to_string(mem_cols) +
-          " does not match model rep dim " +
-          std::to_string(model->net().rep_dim()));
+          " does not match model rep dim " + std::to_string(net->rep_dim()));
     }
     const uint64_t rep_bytes =
         static_cast<uint64_t>(mem_rows) * mem_cols * sizeof(double);
@@ -217,10 +216,9 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
   }
 
   // Commit: every field parsed and validated.
-  model_ = std::move(model);
-  causal::RepOutcomeNet& net = model_->net();
-  net.x_scaler().Restore(std::move(x_mean), std::move(x_std));
-  if (y_fitted) net.y_scaler().Restore(y_mean, y_std);
+  net->x_scaler().Restore(std::move(x_mean), std::move(x_std));
+  if (y_fitted) net->y_scaler().Restore(y_mean, y_std);
+  net_ = std::move(net);
   memory_.Clear();
   if (mem_rows > 0) memory_.Append(mem_reps, mem_y, mem_t);
   stages_seen_ = static_cast<int>(stages);

@@ -6,14 +6,23 @@
 //       (catastrophic forgetting on old data);
 //   C — keep all raw data and retrain from scratch on the union
 //       (the ideal upper bound, but needs access to all previous data).
+//
+// Each strategy is a CerlTrainer configuration (CfrTrainerConfig), so CFR
+// and CERL share one training path: the first domain a trainer observes is
+// the Eq. 5 baseline stage, bitwise the same model CERL starts from. None
+// of them keeps a memory (use_transform = false). A observes domain 0 only;
+// C builds a fresh trainer per stage and feeds it the union of the domains
+// seen so far; B keeps one trainer whose continual stages have every CERL
+// term off (beta = delta = 0) and the baseline learning rate
+// (continual_lr_scale = 1), which is warm-started fine-tuning.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "causal/cfr.h"
+#include "core/cerl_trainer.h"
 
-namespace cerl::causal {
+namespace cerl::core {
 
 /// Which adaptation strategy to run.
 enum class Strategy { kA, kB, kC };
@@ -23,8 +32,8 @@ const char* StrategyName(Strategy s);
 /// Evaluation snapshot after consuming a prefix of the stream.
 struct StageEval {
   int stage = 0;  ///< index of the last domain consumed (0-based)
-  std::vector<CausalMetrics> per_domain;  ///< on each seen domain's test set
-  CausalMetrics pooled;  ///< on the union of all seen test sets
+  std::vector<causal::CausalMetrics> per_domain;  ///< each seen test set
+  causal::CausalMetrics pooled;  ///< on the union of all seen test sets
 };
 
 /// Full run: one StageEval per consumed domain.
@@ -35,9 +44,12 @@ struct StrategyRunResult {
 
 /// Architecture + optimization configuration for a strategy run.
 struct StrategyConfig {
-  NetConfig net;
-  TrainConfig train;
+  causal::NetConfig net;
+  causal::TrainConfig train;
 };
+
+/// The trainer configuration that runs strategy `s`.
+CerlConfig CfrTrainerConfig(Strategy s, const StrategyConfig& config);
 
 /// Runs strategy `s` over the domain stream, evaluating after every domain.
 StrategyRunResult RunCfrStrategy(Strategy s,
@@ -49,4 +61,4 @@ StageEval EvaluateStage(int stage, const std::vector<data::DataSplit>& stream,
                         const std::function<linalg::Vector(
                             const linalg::Matrix&)>& predict_ite);
 
-}  // namespace cerl::causal
+}  // namespace cerl::core

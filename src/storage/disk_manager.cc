@@ -13,8 +13,7 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'S', 'T', 'O', '1'};
 
-// Guard against a corrupt superblock driving page_count to something that
-// implies a multi-terabyte file: 2^22 pages * 4 KiB = 16 GiB.
+// Upper bound on the file size: 2^22 pages * 4 KiB = 16 GiB.
 constexpr uint32_t kMaxPages = 1u << 22;
 
 Status PreadFull(int fd, char* buf, size_t n, off_t offset,
@@ -48,12 +47,7 @@ DiskManager::DiskManager(std::string path, int fd)
     : path_(std::move(path)), fd_(fd) {}
 
 DiskManager::~DiskManager() {
-  if (fd_ >= 0) {
-    // Best effort: a spill store that loses its superblock on close is
-    // rebuilt from snapshot + WAL, not a durability hole.
-    (void)WriteSuperblockLocked();
-    ::close(fd_);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Result<std::unique_ptr<DiskManager>> DiskManager::Open(
@@ -66,32 +60,21 @@ Result<std::unique_ptr<DiskManager>> DiskManager::Open(
   if (size < 0) {
     return Status::IoError("cannot size page store: " + path);
   }
-  if (size == 0) {
-    // Fresh store: write the initial superblock.
-    CERL_RETURN_IF_ERROR(dm->WriteSuperblockLocked());
-    return dm;
-  }
-  if (size < static_cast<off_t>(kPageSize) || size % kPageSize != 0) {
-    return Status::IoError("page store is not page-aligned: " + path);
+  if (size > 0) {
+    char magic[sizeof(kMagic)];
+    if (!PreadFull(fd, magic, sizeof(magic), 0, path).ok() ||
+        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+      return Status::IoError("page store has bad magic: " + path);
+    }
+    // No page of the previous session is reachable: start empty.
+    if (::ftruncate(fd, 0) != 0) {
+      return Status::IoError("cannot reset page store: " + path);
+    }
   }
   char super[kPageSize];
-  CERL_RETURN_IF_ERROR(PreadFull(fd, super, kPageSize, 0, path));
-  if (std::memcmp(super, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("page store has bad magic: " + path);
-  }
-  uint32_t page_count = 0, free_head = 0, free_count = 0;
-  std::memcpy(&page_count, super + 8, sizeof(page_count));
-  std::memcpy(&free_head, super + 12, sizeof(free_head));
-  std::memcpy(&free_count, super + 16, sizeof(free_count));
-  const auto file_pages = static_cast<uint64_t>(size) / kPageSize;
-  if (page_count == 0 || page_count > kMaxPages ||
-      page_count > file_pages || free_head >= page_count ||
-      free_count >= page_count) {
-    return Status::IoError("page store superblock is corrupt: " + path);
-  }
-  dm->page_count_ = page_count;
-  dm->free_head_ = free_head;
-  dm->free_count_ = free_count;
+  std::memset(super, 0, sizeof(super));
+  std::memcpy(super, kMagic, sizeof(kMagic));
+  CERL_RETURN_IF_ERROR(PwriteFull(fd, super, kPageSize, 0, path));
   return dm;
 }
 
@@ -103,16 +86,6 @@ Status DiskManager::CheckDataPageLocked(PageId id, const char* op) const {
                                    std::to_string(page_count_) + " pages");
   }
   return Status::Ok();
-}
-
-Status DiskManager::WriteSuperblockLocked() {
-  char super[kPageSize];
-  std::memset(super, 0, sizeof(super));
-  std::memcpy(super, kMagic, sizeof(kMagic));
-  std::memcpy(super + 8, &page_count_, sizeof(page_count_));
-  std::memcpy(super + 12, &free_head_, sizeof(free_head_));
-  std::memcpy(super + 16, &free_count_, sizeof(free_count_));
-  return PwriteFull(fd_, super, kPageSize, 0, path_);
 }
 
 Status DiskManager::ReadPageLocked(PageId id, char* buf) {
@@ -179,11 +152,6 @@ Status DiskManager::ReadPage(PageId id, char* buf) {
 Status DiskManager::WritePage(PageId id, const char* buf) {
   std::lock_guard<std::mutex> lock(mutex_);
   return WritePageLocked(id, buf);
-}
-
-Status DiskManager::Flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return WriteSuperblockLocked();
 }
 
 uint32_t DiskManager::page_count() const {

@@ -3,20 +3,17 @@
 //
 // File layout:
 //
-//   page 0 (superblock):
-//     offset  size  field
-//     0       8     magic "CERLSTO1"
-//     8       4     page_count   (total pages in the file, incl. superblock)
-//     12      4     free_head    (PageId of first free page; 0 = none)
-//     16      4     free_count   (number of pages on the free list)
+//   page 0 (superblock): magic "CERLSTO1", then zeros.
 //   page i >= 1: raw page bytes (DiskManager does not interpret them,
 //     except that a page on the free list stores the next free PageId in
 //     its first 4 bytes).
 //
 // The store is a spill target, not a durability source: engine durability
-// is snapshot + WAL, and spilled tenant state is reconstructed from those
-// after a crash. The superblock is therefore rewritten on Flush()/close
-// rather than on every allocation.
+// is snapshot + WAL, spilled tenant state is reconstructed from those after
+// a crash, and the blob catalog (TenantStore) lives in memory only. No page
+// of a previous session is reachable after a reopen, so Open resets the
+// file: every session starts with the superblock alone, and the page count
+// and free list live in memory only.
 //
 // Thread safety: all methods are safe to call concurrently (one internal
 // mutex; page reads/writes use positional pread/pwrite on a shared fd).
@@ -35,8 +32,10 @@ namespace storage {
 
 class DiskManager {
  public:
-  /// Opens (or creates) the store file at `path`. An existing file must
-  /// carry a valid superblock; a malformed one is a clean IoError.
+  /// Opens (or creates) the store file at `path` and resets it to an empty
+  /// store. An existing file must carry the store magic (so Open never
+  /// truncates a file that is not a page store); any other file is a clean
+  /// IoError.
   static Result<std::unique_ptr<DiskManager>> Open(const std::string& path);
 
   ~DiskManager();
@@ -56,9 +55,6 @@ class DiskManager {
   Status ReadPage(PageId id, char* buf);
   Status WritePage(PageId id, const char* buf);
 
-  /// Rewrites the superblock so page_count/free_head survive reopen.
-  Status Flush();
-
   /// Total pages in the file, including the superblock.
   uint32_t page_count() const;
   /// Pages currently on the free list.
@@ -69,7 +65,6 @@ class DiskManager {
   DiskManager(std::string path, int fd);
 
   Status CheckDataPageLocked(PageId id, const char* op) const;
-  Status WriteSuperblockLocked();
   Status ReadPageLocked(PageId id, char* buf);
   Status WritePageLocked(PageId id, const char* buf);
 

@@ -13,7 +13,8 @@
 // The key -> (head page, size) catalog lives in memory only: the store is
 // a RAM-extension spill target, and after a crash tenant state is rebuilt
 // from snapshot + WAL, repopulating the store organically as tenants go
-// cold again.
+// cold again. DiskManager::Open resets the file, so a reopened store starts
+// empty rather than holding pages no key reaches.
 //
 // Thread safety: all operations are serialized on one internal mutex, so
 // the store is safe for concurrent use from any thread.

@@ -1,6 +1,7 @@
 // Tests for the causal layer: metrics, scalers, herding (vs random,
-// property-style), the representation network, CFR training on a toy DGP
-// with selection bias, and the strategy drivers.
+// property-style), the representation network, CFR training (a CFR-configured
+// core::CerlTrainer) on a toy DGP with selection bias, and the strategy
+// drivers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +12,7 @@
 #include "causal/herding.h"
 #include "causal/metrics.h"
 #include "causal/scaler.h"
-#include "causal/strategies.h"
+#include "core/strategies.h"
 #include "linalg/ops.h"
 #include "util/rng.h"
 
@@ -273,18 +274,26 @@ TEST(RepOutcomeNetTest, CopyParametersMatchesOutputs) {
             0.0);
 }
 
+// CFR trains through core::CerlTrainer: a trainer configured for a CFR
+// strategy runs Eq. 5 as the baseline stage of its first domain.
+core::CerlConfig CfrConfig(core::Strategy s) {
+  return core::CfrTrainerConfig(s, {SmallNet(), FastTrain()});
+}
+
 TEST(CfrTest, TrainingImprovesPeheOverInit) {
   Rng rng(7);
-  CausalDataset train = ToyDgp(&rng, 600);
-  CausalDataset valid = ToyDgp(&rng, 150);
+  DataSplit split;
+  split.train = ToyDgp(&rng, 600);
+  split.valid = ToyDgp(&rng, 150);
   CausalDataset test = ToyDgp(&rng, 300);
-  CfrModel model(SmallNet(), FastTrain(), 6);
-  // Scalers must exist for the untrained evaluation.
-  model.net().x_scaler().Fit(train.x);
-  model.net().y_scaler().Fit(train.y);
-  const CausalMetrics before = model.Evaluate(test);
-  TrainStats stats = model.Train(train, valid);
-  const CausalMetrics after = model.Evaluate(test);
+  core::CerlTrainer trainer(CfrConfig(core::Strategy::kA), 6);
+  // BeginStage builds the model and fits its scalers, so the untrained
+  // evaluation sits between it and TrainStage.
+  auto stage = trainer.BeginStage(split);
+  const CausalMetrics before = trainer.Evaluate(test);
+  TrainStats stats = trainer.TrainStage(stage.get());
+  trainer.MigrateStage(stage.get());
+  const CausalMetrics after = trainer.Evaluate(test);
   EXPECT_GT(stats.epochs_run, 0);
   EXPECT_LT(after.pehe, before.pehe);
   // True ITE std is 1; a trained model should be well under that error.
@@ -292,38 +301,42 @@ TEST(CfrTest, TrainingImprovesPeheOverInit) {
   EXPECT_LT(after.ate_error, 0.4);
 }
 
-TEST(CfrTest, FineTunePreservesScalers) {
+TEST(CfrTest, ContinualStageKeepsXScaler) {
   Rng rng(8);
-  CausalDataset train = ToyDgp(&rng, 300);
-  CausalDataset valid = ToyDgp(&rng, 100);
-  CfrModel model(SmallNet(), FastTrain(), 6);
-  model.Train(train, valid);
-  // Scalers should be identical objects (refit is not allowed in FineTune):
-  // verify by checking the transformed output of a fixed point.
+  DataSplit first;
+  first.train = ToyDgp(&rng, 300);
+  first.valid = ToyDgp(&rng, 100);
+  core::CerlTrainer trainer(CfrConfig(core::Strategy::kB), 6);
+  trainer.ObserveDomain(first);
+  // CFR-B's continual stage warm-starts from the previous model, scalers
+  // included (no refit): verify by checking the transformed output of a
+  // fixed point.
   Matrix probe(1, 6, 0.5);
-  Matrix before = model.net().x_scaler().Apply(probe);
-  CausalDataset train2 = ToyDgp(&rng, 300);
-  CausalDataset valid2 = ToyDgp(&rng, 100);
-  model.FineTune(train2, valid2);
-  Matrix after = model.net().x_scaler().Apply(probe);
+  Matrix before = trainer.current_net()->x_scaler().Apply(probe);
+  DataSplit second;
+  second.train = ToyDgp(&rng, 300);
+  second.valid = ToyDgp(&rng, 100);
+  trainer.ObserveDomain(second);
+  Matrix after = trainer.current_net()->x_scaler().Apply(probe);
   EXPECT_EQ(Matrix::MaxAbsDiff(before, after), 0.0);
 }
 
 TEST(StrategiesTest, NamesAndStageEvalShape) {
-  EXPECT_STREQ(StrategyName(Strategy::kA), "CFR-A");
-  EXPECT_STREQ(StrategyName(Strategy::kB), "CFR-B");
-  EXPECT_STREQ(StrategyName(Strategy::kC), "CFR-C");
+  EXPECT_STREQ(core::StrategyName(core::Strategy::kA), "CFR-A");
+  EXPECT_STREQ(core::StrategyName(core::Strategy::kB), "CFR-B");
+  EXPECT_STREQ(core::StrategyName(core::Strategy::kC), "CFR-C");
 
   Rng rng(9);
   std::vector<DataSplit> stream;
   for (int d = 0; d < 2; ++d) {
     stream.push_back(data::SplitDataset(ToyDgp(&rng, 300), &rng));
   }
-  StrategyConfig config;
+  core::StrategyConfig config;
   config.net = SmallNet();
   config.train = FastTrain();
   config.train.epochs = 15;
-  StrategyRunResult result = RunCfrStrategy(Strategy::kA, stream, config);
+  core::StrategyRunResult result =
+      core::RunCfrStrategy(core::Strategy::kA, stream, config);
   ASSERT_EQ(result.stages.size(), 2u);
   EXPECT_EQ(result.stages[0].per_domain.size(), 1u);
   EXPECT_EQ(result.stages[1].per_domain.size(), 2u);

@@ -1,14 +1,15 @@
 // Tests for the CERL core: memory bank semantics (append/transform/reduce,
-// group balance, capacity), the transformation network, and the continual
+// group balance, capacity), the transformation network, the continual
 // trainer on a toy shifted stream (knowledge retention vs fine-tuning,
-// memory invariants, ablation configurations).
+// memory invariants, ablation configurations), and the CFR strategies as
+// trainer configurations.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "causal/strategies.h"
 #include "core/cerl_trainer.h"
 #include "core/memory_bank.h"
+#include "core/strategies.h"
 #include "core/transform_net.h"
 #include "autodiff/composite.h"
 #include "nn/optim.h"
@@ -252,6 +253,41 @@ TEST(CerlTrainerTest, ContinualStepTapeNodeCount) {
   EXPECT_EQ(stats.tape_nodes, 138);
 }
 
+// The baseline stage (Eq. 5) runs the continual stage's loss builder
+// without the distillation/transformation terms and without memory replay,
+// and gathers only x_train: one step records exactly this many nodes.
+TEST(CerlTrainerTest, BaselineStepTapeNodeCount) {
+  auto stream = MakeShiftedStream(12, 2.0);
+  CerlConfig config = FastCerlConfig();
+  config.train.epochs = 1;
+  config.train.batch_size = 1000;
+  CerlTrainer trainer(config, 8);
+  const causal::TrainStats stats = trainer.ObserveDomain(stream[0]);
+  ASSERT_EQ(stats.steps, 1);
+  EXPECT_EQ(stats.tape_nodes, 58);
+}
+
+// Every stage reads only t and y of the validation split, so a first domain
+// whose validation split carries no mu0/mu1 (which ValidateDomain accepts)
+// trains — to the same model as with the ground truth present.
+TEST(CerlTrainerTest, FirstDomainWithoutValidationGroundTruthTrains) {
+  auto stream = MakeShiftedStream(15, 2.0);
+  CerlConfig config = FastCerlConfig();
+  config.train.epochs = 10;
+  DataSplit no_truth = stream[0];
+  no_truth.valid.mu0.clear();
+  no_truth.valid.mu1.clear();
+  ASSERT_TRUE(CerlTrainer::ValidateDomain(no_truth, 8).ok());
+  CerlTrainer trainer(config, 8);
+  const causal::TrainStats stats = trainer.ObserveDomain(no_truth);
+  EXPECT_EQ(trainer.stages_seen(), 1);
+  EXPECT_GT(stats.epochs_run, 0);
+  CerlTrainer reference(config, 8);
+  reference.ObserveDomain(stream[0]);
+  EXPECT_EQ(trainer.PredictIte(stream[0].test.x),
+            reference.PredictIte(stream[0].test.x));
+}
+
 TEST(CerlTrainerTest, MemoryNeverStoresRawCovariates) {
   auto stream = MakeShiftedStream(12, 1.5);
   CerlConfig config = FastCerlConfig();
@@ -301,13 +337,37 @@ TEST(CerlTrainerTest, RetainsPreviousDomainBetterThanFineTuning) {
     trainer.ObserveDomain(stream[1]);
     cerl_prev += trainer.Evaluate(stream[0].test).pehe;
 
-    causal::StrategyConfig strat;
+    StrategyConfig strat;
     strat.net = config.net;
     strat.train = config.train;
-    auto result = causal::RunCfrStrategy(causal::Strategy::kB, stream, strat);
+    auto result = RunCfrStrategy(Strategy::kB, stream, strat);
     finetune_prev += result.final_stage().per_domain[0].pehe;
   }
   EXPECT_LT(cerl_prev / seeds, finetune_prev / seeds);
+}
+
+// CFR-A is the baseline stage of every CERL configuration: after each
+// domain its metrics equal, bitwise, those of a default CerlTrainer that
+// observed domain 0 (whose memory seeding draws on the trainer's own RNG,
+// not on the model's).
+TEST(CfrStrategyTest, CfrAIsTheCerlBaselineStageBitwise) {
+  auto stream = MakeShiftedStream(14, 2.0);
+  CerlConfig config = FastCerlConfig();
+  config.train.epochs = 20;
+  CerlTrainer trainer(config, 8);
+  trainer.ObserveDomain(stream[0]);
+  StrategyConfig strat;
+  strat.net = config.net;
+  strat.train = config.train;
+  const StrategyRunResult run = RunCfrStrategy(Strategy::kA, stream, strat);
+  ASSERT_EQ(run.stages.size(), stream.size());
+  for (const StageEval& stage : run.stages) {
+    for (size_t j = 0; j < stage.per_domain.size(); ++j) {
+      const causal::CausalMetrics m = trainer.Evaluate(stream[j].test);
+      EXPECT_EQ(stage.per_domain[j].pehe, m.pehe) << "domain " << j;
+      EXPECT_EQ(stage.per_domain[j].ate_error, m.ate_error) << "domain " << j;
+    }
+  }
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 
 #include <cmath>
 
-#include "causal/strategies.h"
 #include "core/cerl_trainer.h"
+#include "core/strategies.h"
 #include "data/synthetic.h"
 #include "data/topic_benchmark.h"
 #include "util/rng.h"
@@ -15,8 +15,8 @@
 namespace cerl {
 namespace {
 
-using causal::Strategy;
-using causal::StrategyConfig;
+using core::Strategy;
+using core::StrategyConfig;
 using core::CerlConfig;
 using core::CerlTrainer;
 
@@ -167,7 +167,7 @@ TEST(FiveDomainIntegrationTest, SequentialStreamStaysStable) {
   std::vector<double> pooled_pehe;
   for (int d = 0; d < 5; ++d) {
     cerl.ObserveDomain(splits[d]);
-    auto eval = causal::EvaluateStage(
+    auto eval = core::EvaluateStage(
         d, splits,
         [&cerl](const linalg::Matrix& x) { return cerl.PredictIte(x); });
     pooled_pehe.push_back(eval.pooled.pehe);

@@ -1,5 +1,5 @@
 // Unit tests for the paged storage layer (src/storage/): DiskManager page
-// allocation / free list / superblock persistence, BufferPool pinning and
+// allocation / free list / reset on open, BufferPool pinning and
 // LRU eviction, and TenantStore blob chains with checksum verification.
 #include <gtest/gtest.h>
 
@@ -105,44 +105,9 @@ TEST(DiskManagerTest, FreePageRejectsInvalidIds) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(DiskManagerTest, FlushPersistsAllocationStateAcrossReopen) {
-  const std::string path = TempPath("dm_reopen.store");
-  PageId kept = kInvalidPageId;
-  const std::string payload = PatternPage(42);
-  {
-    auto opened = DiskManager::Open(path);
-    ASSERT_TRUE(opened.ok());
-    DiskManager& dm = *opened.value();
-    auto p1 = dm.AllocatePage();
-    auto p2 = dm.AllocatePage();
-    ASSERT_TRUE(p1.ok());
-    ASSERT_TRUE(p2.ok());
-    kept = p1.value();
-    ASSERT_TRUE(dm.WritePage(kept, payload.data()).ok());
-    ASSERT_TRUE(dm.FreePage(p2.value()).ok());
-    ASSERT_TRUE(dm.Flush().ok());
-  }
-  auto reopened = DiskManager::Open(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  DiskManager& dm = *reopened.value();
-  EXPECT_EQ(dm.page_count(), 3u);
-  EXPECT_EQ(dm.free_pages(), 1u);
-  std::string buf(kPageSize, '\0');
-  ASSERT_TRUE(dm.ReadPage(kept, buf.data()).ok());
-  EXPECT_EQ(buf, payload);
-  // The freed page comes back before the file grows.
-  auto r = dm.AllocatePage();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(dm.page_count(), 3u);
-}
-
 TEST(DiskManagerTest, CorruptSuperblockIsCleanError) {
   const std::string path = TempPath("dm_corrupt.store");
-  {
-    auto opened = DiskManager::Open(path);
-    ASSERT_TRUE(opened.ok());
-    ASSERT_TRUE(opened.value()->Flush().ok());
-  }
+  ASSERT_TRUE(DiskManager::Open(path).ok());
   auto raw = ReadFileToString(path);
   ASSERT_TRUE(raw.ok());
   std::string bytes = std::move(raw).value();
@@ -152,6 +117,10 @@ TEST(DiskManagerTest, CorruptSuperblockIsCleanError) {
   auto reopened = DiskManager::Open(path);
   EXPECT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kIoError);
+  // A file that is not a page store is refused, never reset.
+  auto after = ReadFileToString(path);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), bytes);
 }
 
 // --- BufferPool -----------------------------------------------------------
@@ -341,6 +310,27 @@ TEST(TenantStoreTest, EraseRemovesTheKeyAndFreesPages) {
   EXPECT_EQ(store.Get(7).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.Erase(7).code(), StatusCode::kNotFound);
   EXPECT_GE(dm->free_pages(), 2u);
+}
+
+// The blob catalog lives in memory only, so no page of a closed store is
+// reachable after a reopen: the store starts empty instead of carrying the
+// old pages as a permanent leak.
+TEST(TenantStoreTest, ReopenedStoreHoldsOnePageAndNoKey) {
+  const std::string path = TempPath("ts_reopen.store");
+  uint32_t pages_first_session = 0;
+  for (int session = 0; session < 3; ++session) {
+    auto opened = DiskManager::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DiskManager* dm = opened.value().get();
+    EXPECT_EQ(dm->page_count(), 1u) << "session " << session;
+    EXPECT_EQ(dm->free_pages(), 0u) << "session " << session;
+    BufferPool pool(dm, 4);
+    TenantStore store(&pool);
+    EXPECT_FALSE(store.Contains(7));
+    ASSERT_TRUE(store.Put(7, RandomBlob(7, 40 * 1024)).ok());
+    if (session == 0) pages_first_session = dm->page_count();
+    EXPECT_EQ(dm->page_count(), pages_first_session) << "session " << session;
+  }
 }
 
 TEST(TenantStoreTest, CorruptedChainIsACleanIoError) {

@@ -233,6 +233,28 @@ TEST(StreamEngineTest, TestSplitWithoutGroundTruthSkipsMetrics) {
   }
 }
 
+// A first domain whose validation split carries no mu0/mu1 passes
+// validation, and the baseline stage reads only t and y of that split: it
+// trains and publishes a snapshot instead of aborting the process.
+TEST(StreamEngineTest, FirstDomainWithoutValidationGroundTruthPublishes) {
+  const CerlConfig config = FastConfig(67);
+  std::vector<DataSplit> domains = MakeStream(14, 2, 1.0);
+  domains[0].valid.mu0.clear();
+  domains[0].valid.mu1.clear();
+  StreamEngine engine;
+  const int id = engine.AddStream("no-valid-truth", config, kFeatures);
+  ASSERT_TRUE(engine.PushDomain(id, domains[0]).ok());
+  engine.Drain();
+  const std::vector<DomainResult>& results = engine.results(id);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_GT(results[0].stats.epochs_run, 0);
+  EXPECT_TRUE(results[0].has_metrics);
+  const auto snapshot = engine.effect_snapshot(id);
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->stage, 1);
+}
+
 TEST(StreamEngineTest, ResultsCarryMetricsAndMemoryStaysBounded) {
   const CerlConfig config = FastConfig(55);
   const std::vector<DataSplit> domains = MakeStream(12, 2, 1.5);
